@@ -1,13 +1,13 @@
 """Benchmark: shared InterferenceContext engine vs. the legacy path.
 
-Times the two hot paths the engine refactor targets —
+Times the two hot paths the engine targets —
 ``greedy_max_feasible_subset`` (the peeling primitive behind the
-Theorem 15 repair/thinning passes) and ``sqrt_coloring`` itself — with
-the engine enabled (cached gain matrices, incremental peeling) and
-disabled (the pre-refactor from-scratch path, restored verbatim by
-:func:`repro.core.context.engine_disabled`).  Outputs are asserted
-identical between the two paths, so the comparison is apples to
-apples.
+Theorem 15 repair/thinning passes) and ``sqrt_coloring`` itself — on
+the production path (cached gain matrices, incremental peeling) and on
+the legacy from-scratch path: the oracles in ``tests/oracles.py``
+(``sqrt_coloring`` runs with its peel swapped for the from-scratch
+oracle and pays its own gain build).  Outputs are asserted identical
+between the two paths, so the comparison is apples to apples.
 
 ``sqrt_coloring`` is run with ``use_lp=False``: the LP solve is
 orthogonal to the interference engine and costs the same on both
@@ -19,9 +19,10 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_context_engine.py
     PYTHONPATH=src python benchmarks/bench_context_engine.py --sizes 64,256
 
-The default sizes are n in {64, 256, 1024}.  The script exits
-non-zero if the speedup at the largest measured size falls below
-``--target`` (default 3x) on either workload.
+The default sizes are n in {64, 256, 1024}; the artifact is labelled
+``full`` when the largest size is at least 1024 and ``smoke`` below.
+The script exits non-zero if the speedup at the largest measured size
+falls below ``--target`` (default 3x) on either workload.
 
 Reference results (one run, default sizes)::
 
@@ -37,18 +38,29 @@ Reference results (one run, default sizes)::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.capacity import greedy_max_feasible_subset
-from repro.core.context import clear_context_cache, engine_disabled
+from repro.core.context import clear_context_cache
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.runner.artifacts import BenchReport, ShardResult, write_artifact
 from repro.scheduling.sqrt_coloring import sqrt_coloring
 from repro.util.tables import Table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402
+
+#: The module, not the same-named function ``repro.scheduling`` exports.
+sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
+
+#: Smallest largest-size that makes a run the ``full`` headline.
+FULL_SIZE = 1024
 
 
 def _time(fn) -> float:
@@ -79,13 +91,14 @@ def run(sizes, target, seed=7, artifacts=None):
             )
         )
 
-        with engine_disabled():
-            result_legacy = {}
-            t_greedy_legacy = _time(
-                lambda: result_legacy.__setitem__(
-                    "greedy", greedy_max_feasible_subset(instance, powers)
-                )
+        result_legacy = {}
+        t_greedy_legacy = _time(
+            lambda: result_legacy.__setitem__(
+                "greedy", oracles.greedy_max_feasible_subset(instance, powers)
             )
+        )
+        clear_context_cache()
+        with oracles.swap_peel(sqrt_module, oracles.greedy_max_feasible_subset):
             t_sqrt_legacy = _time(
                 lambda: result_legacy.__setitem__(
                     "sqrt", sqrt_coloring(instance, rng=3, use_lp=False)[0]
@@ -137,7 +150,7 @@ def run(sizes, target, seed=7, artifacts=None):
         report = BenchReport(
             experiment="context_engine",
             title="Shared interference engine speedup",
-            mode="smoke",
+            mode="full" if sizes[-1] >= FULL_SIZE else "smoke",
             table=table,
             shards=shards,
             run_wall_seconds=time.perf_counter() - run_start,

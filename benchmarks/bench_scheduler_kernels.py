@@ -1,12 +1,15 @@
 """Benchmark: vectorized scheduler kernels vs. the accumulator paths.
 
-Times every scheduler the PR-3 kernel layer rewired — first-fit,
-peeling, local search and ``sqrt_coloring`` — on the kernel path
-(:mod:`repro.core.kernels`) and on the PR-1 accumulator /
-subset-rebuild engine reference restored by
-:func:`repro.core.kernels.kernels_disabled`.  Outputs are asserted
-identical between the two paths, so the comparison is apples to
-apples.  A batched row compares :meth:`ContextBatch.first_fit_schedules`
+Times every kernel-backed scheduler — first-fit, peeling, local search
+and ``sqrt_coloring`` — on the kernel path (:mod:`repro.core.kernels`)
+and on the accumulator / subset-rebuild reference from
+``tests/oracles.py``: first-fit scanning one public
+:class:`~repro.core.context.ClassAccumulator` per class, local search
+re-checking each trial subset with ``context.is_feasible_subset``, and
+peeling / ``sqrt_coloring`` with their peel swapped for the
+per-round-rebuild ``context.greedy_max_feasible_subset``.  Outputs are
+asserted identical between the two paths, so the comparison is apples
+to apples.  A batched row compares :meth:`ContextBatch.first_fit_schedules`
 (lockstep over stacked gains) against the per-pair kernel loop, and a
 second, gated batched row compares
 :meth:`ContextBatch.local_search_schedules` (the
@@ -37,35 +40,39 @@ The script exits non-zero when the first-fit speedup at the largest
 acceptance gate — or when the stacked local-search speedup over the
 looped reference does (the PR-9 gate; ``--ls-batch-pairs 0`` disables
 that row).  ``--aux-sizes`` bounds the other (ungated, slower)
-workloads.
+workloads.  The artifact is labelled ``full`` when the run covers the
+default sizes (first-fit n >= 1024, aux n >= 256, B >= 32 stacked
+local-search pairs) and ``smoke`` otherwise.
 
-Reference results (one run, default sizes)::
+Reference results (one run, default sizes, 2-vCPU / 7 GB Linux VM;
+the committed ``benchmarks/artifacts/BENCH_sched_kernels.json``)::
 
     workload               n    reference      kernel   speedup
-    first_fit             64        9.1 ms     14.8 ms      0.6x
-    first_fit            256      104.3 ms     27.1 ms      3.8x
-    first_fit           1024     1407.8 ms    217.1 ms      6.5x
-    peeling               64       56.1 ms     19.2 ms      2.9x
-    peeling              256      237.6 ms     75.4 ms      3.2x
-    local_search          64        5.9 ms      4.4 ms      1.3x
-    local_search         256      139.6 ms     20.8 ms      6.7x
-    sqrt                  64        9.5 ms     12.9 ms      0.7x
-    sqrt                 256      157.6 ms     92.7 ms      1.7x
-    first_fit_batch4     256       74.9 ms     59.3 ms      1.3x
-    local_search_batch32 1024   45687.3 ms   3279.5 ms     13.9x
+    first_fit             64        4.1 ms      2.6 ms      1.6x
+    first_fit            256       41.5 ms     11.0 ms      3.8x
+    first_fit           1024      727.8 ms     84.0 ms      8.7x
+    peeling               64        5.9 ms      4.3 ms      1.4x
+    peeling              256      135.5 ms     50.4 ms      2.7x
+    local_search          64        3.5 ms      2.0 ms      1.7x
+    local_search         256       66.6 ms     10.9 ms      6.1x
+    sqrt                  64        5.4 ms      4.8 ms      1.1x
+    sqrt                 256       74.3 ms     45.7 ms      1.6x
+    first_fit_batch4     256       41.7 ms     24.9 ms      1.7x
+    local_search_batch32 1024   23913.6 ms   1726.9 ms     13.8x
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.batch import ContextBatch
 from repro.core.context import clear_context_cache, get_context
-from repro.core.kernels import kernels_disabled
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.runner.artifacts import BenchReport, ShardResult, write_artifact
@@ -74,6 +81,14 @@ from repro.scheduling.local_search import improve_schedule
 from repro.scheduling.peeling import peeling_schedule
 from repro.scheduling.sqrt_coloring import sqrt_coloring
 from repro.util.tables import Table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402
+
+#: The modules whose by-name peel import the references swap
+#: (``repro.scheduling`` re-exports a same-named sqrt_coloring function).
+peeling_module = importlib.import_module("repro.scheduling.peeling")
+sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
 
 GATED_WORKLOAD = "first_fit"
 
@@ -113,27 +128,52 @@ def _colors(result):
     return result[0].colors if isinstance(result, tuple) else result.colors
 
 
+def _reference_local_search(instance, schedule):
+    """The subset-rebuild local search, validated before and after like
+    ``improve_schedule``."""
+    context = get_context(instance, schedule.powers)
+    schedule.validate(instance)
+    improved = oracles.improve_schedule(
+        instance, schedule, feasible=context.is_feasible_subset
+    )
+    improved.validate(instance)
+    return improved
+
+
 def _workloads():
-    def first_fit(instance, powers):
-        return first_fit_schedule(instance, powers)
+    """Per workload: ``(kernel, reference)`` runners taking
+    ``(instance, powers)``.  Local search's runners return the timed
+    thunk: its base schedule is path-independent (first-fit is
+    bit-identical across paths), so it is computed outside the timer."""
+
+    def local_search(improve):
+        def prepare(instance, powers):
+            base = first_fit_schedule(instance, powers)
+            return lambda: improve(instance, base)
+
+        return prepare
+
+    def swapped(module, run):
+        def reference(instance, powers):
+            with oracles.swap_peel(module, oracles.context_peel):
+                return run(instance, powers)
+
+        return reference
 
     def peeling(instance, powers):
         return peeling_schedule(instance, powers)
-
-    def local_search(instance, powers):
-        # The base schedule is path-independent (first-fit is
-        # bit-identical across paths), so compute it outside the timer.
-        base = first_fit_schedule(instance, powers)
-        return lambda: improve_schedule(instance, base)
 
     def sqrt(instance, powers):
         return sqrt_coloring(instance, rng=3, use_lp=False)
 
     return {
-        "first_fit": first_fit,
-        "peeling": peeling,
-        "local_search": local_search,
-        "sqrt": sqrt,
+        "first_fit": (first_fit_schedule, oracles.first_fit_accumulator),
+        "peeling": (peeling, swapped(peeling_module, peeling)),
+        "local_search": (
+            local_search(improve_schedule),
+            local_search(_reference_local_search),
+        ),
+        "sqrt": (sqrt, swapped(sqrt_module, sqrt)),
     }
 
 
@@ -147,7 +187,7 @@ def run(
     gated_speedup = None
 
     # Batched local search (gated): stacked lockstep kernel vs the
-    # per-instance looped reference path (kernels_disabled) — the same
+    # per-instance looped subset-rebuild reference — the same
     # reference every per-instance row in this benchmark is measured
     # against, here paid once per instance in a loop.  This block runs
     # first (its row is still printed last): it is the largest resident
@@ -177,13 +217,12 @@ def run(
         t_batch, improved = _time_min(
             lambda: batch.local_search_schedules(seeds)
         )
-        with kernels_disabled():
-            t_loop, references = _time_min(
-                lambda: [
-                    improve_schedule(inst, s)
-                    for (inst, _), s in zip(pairs, seeds)
-                ]
-            )
+        t_loop, references = _time_min(
+            lambda: [
+                _reference_local_search(inst, s)
+                for (inst, _), s in zip(pairs, seeds)
+            ]
+        )
         for schedule, reference in zip(improved, references):
             assert np.array_equal(schedule.colors, reference.colors), (
                 "batched local search diverged from per-instance schedules"
@@ -196,7 +235,7 @@ def run(
         del batch, pairs, seeds, improved, references
         clear_context_cache()
 
-    for name, runner in workloads.items():
+    for name, (kernel_run, reference_run) in workloads.items():
         my_sizes = sizes if name == GATED_WORKLOAD else aux_sizes
         for n in my_sizes:
             instance = random_uniform_instance(n, rng=seed)
@@ -204,14 +243,11 @@ def run(
             clear_context_cache()
             _warm(instance, powers)
             if name == "local_search":
-                prepared = runner(instance, powers)
-                t_kernel, rk = _time(prepared)
-                with kernels_disabled():
-                    t_reference, rr = _time(prepared)
+                t_kernel, rk = _time(kernel_run(instance, powers))
+                t_reference, rr = _time(reference_run(instance, powers))
             else:
-                t_kernel, rk = _time(lambda: runner(instance, powers))
-                with kernels_disabled():
-                    t_reference, rr = _time(lambda: runner(instance, powers))
+                t_kernel, rk = _time(lambda: kernel_run(instance, powers))
+                t_reference, rr = _time(lambda: reference_run(instance, powers))
             assert np.array_equal(_colors(rk), _colors(rr)), (
                 f"{name} outputs diverged at n={n}"
             )
@@ -268,8 +304,8 @@ def run(
             f"local_search_batch{ls_batch_pairs} (stacked lockstep vs "
             f"per-instance loop, best-of-2 per side) >= {target}x at "
             f"n={sizes[-1]}; "
-            "reference = PR-1 accumulator/subset-rebuild engine paths "
-            "(kernels_disabled); outputs asserted bit-identical"
+            "reference = accumulator/subset-rebuild/per-round-rebuild-peel "
+            "paths from tests/oracles.py; outputs asserted bit-identical"
         )
         shards = []
         for name, n, reference, kernel, speedup in rows:
@@ -291,7 +327,14 @@ def run(
         report = BenchReport(
             experiment="sched_kernels",
             title="Vectorized scheduler kernel speedup",
-            mode="smoke",
+            mode=(
+                "full"
+                if sizes[-1] >= 1024
+                and aux_sizes
+                and aux_sizes[-1] >= 256
+                and ls_batch_pairs >= 32
+                else "smoke"
+            ),
             table=table,
             shards=shards,
             run_wall_seconds=time.perf_counter() - run_start,

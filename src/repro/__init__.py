@@ -88,9 +88,7 @@ from repro.core import (
     batch_validate_schedules,
     build_schedule,
     default_backend,
-    engine_disabled,
     get_context,
-    kernels_disabled,
     peel_max_feasible_subset,
     set_default_backend,
     stacked_first_fit,
@@ -196,12 +194,10 @@ __all__ = [
     "batch_margins",
     "batch_validate_schedules",
     "get_context",
-    "engine_disabled",
     "ScheduleKernel",
     "build_schedule",
     "peel_max_feasible_subset",
     "stacked_first_fit",
-    "kernels_disabled",
     # geometry
     "Metric",
     "EuclideanMetric",

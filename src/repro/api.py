@@ -22,11 +22,10 @@ kernels, the pluggable gain backends and the batched
   :mod:`repro.scheduling.registry`, and supports incremental workloads
   via :meth:`~Session.add_requests` / :meth:`~Session.reschedule`.
 * :class:`ScheduleResult` — the schedule plus :class:`Provenance`:
-  which algorithm and parameters produced it, on which backend, with
-  the engine/kernel layers on or off, whether a pruned-sparse run is
-  *certified* bit-identical to dense (zero
-  :attr:`~repro.core.gains.GainBackend.flip_risk_events`), the wall
-  time, and any batched-execution fallback
+  which algorithm and parameters produced it, on which backend,
+  whether a pruned-sparse run is *certified* bit-identical to dense
+  (zero :attr:`~repro.core.gains.GainBackend.flip_risk_events`), the
+  wall time, and any batched-execution fallback
   (:class:`~repro.core.batch.BatchFallbackInfo`).
 * :class:`BatchSession` / :func:`schedule_batch` — the same facade
   over many problems at once, stacking them through
@@ -53,14 +52,13 @@ from repro.core.batch import BatchFallbackInfo, ContextBatch, ContextPool
 from repro.core.context import (
     DEFAULT_RTOL,
     InterferenceContext,
-    engine_enabled,
     get_context,
+    recording_contexts,
     repin_context,
     unpin_context,
 )
 from repro.core.errors import InvalidInstanceError, InvalidScheduleError
 from repro.core.gains import (
-    GainBackend,
     array_namespace_scope,
     backend_scope,
     default_sparse_epsilon,
@@ -77,7 +75,6 @@ from repro.core.instance import Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
     ScheduleKernel,
-    kernels_enabled,
     peel_fallback_records,
     peel_risk_events,
 )
@@ -118,24 +115,24 @@ class Provenance:
     params:
         The algorithm-specific keyword arguments, as passed.
     backend:
-        Resolved gain-backend name (``"dense"``/``"sparse"``).
+        Name of the gain backend the algorithm ran on (``"dense"``,
+        ``"sparse"``, ``"array"`` or ``"sharded"``); with no context
+        used, the session's resolved preference.
     sparse_epsilon:
         Resolved pruning budget (``0.0`` on dense / lossless runs).
-    engine, kernels:
-        Whether the shared interference engine and the vectorized
-        scheduler kernels were active on the call path.
     wall_seconds:
         Wall time of the algorithm run.
     flip_risk_events:
-        Growth of the backend's at-risk-comparison counter during the
-        run (always ``0`` on dense or lossless-sparse backends).
+        Growth of the at-risk-comparison counters of the backends the
+        algorithm ran on during the run (always ``0`` on dense or
+        lossless-sparse backends).
     certified:
         ``True`` — the run is provably bit-identical to the dense
         backend (zero flip-risk events on a certifiable algorithm);
         ``False`` — pruning may have changed a decision; ``None`` —
-        certification does not apply (engine off, or the algorithm's
-        decisions do not all route through the flip-risk-counting
-        kernel).
+        certification does not apply (the run used no interference
+        context, or the algorithm's decisions do not all route through
+        the flip-risk-counting kernel).
     batch_fallback:
         Why a batched entry point could not run in lockstep (``None``
         for plain sessions and stacked batches).
@@ -145,7 +142,7 @@ class Provenance:
         peel/stop/re-add comparisons that landed inside the
         :data:`~repro.core.kernels.PEEL_RISK_RTOL` band and were
         resolved by exact reference-order recomputation.  Always ``0``
-        when the run never peels (or the incremental peel is disabled).
+        when the run never peels.
     peel_fallbacks:
         :class:`~repro.core.kernels.PeelFallbackInfo` records emitted
         during the run — peel calls (e.g. duplicate candidates) that
@@ -165,8 +162,6 @@ class Provenance:
     params: Dict[str, Any]
     backend: str
     sparse_epsilon: float
-    engine: bool
-    kernels: bool
     wall_seconds: float
     flip_risk_events: int = 0
     certified: Optional[bool] = None
@@ -462,9 +457,7 @@ class Session:
         Built through :func:`~repro.core.context.get_context` under the
         problem's backend preferences, so algorithm implementations
         fetching the context for ``(instance, powers)`` resolve to this
-        very object.  With the engine disabled
-        (:func:`~repro.core.context.engine_disabled`) schedulers bypass
-        it, but the property stays usable for direct queries.
+        very object.
         """
         if self._context is None:
             self._context = get_context(
@@ -926,8 +919,6 @@ class Session:
                 params={},
                 backend=context.backend.name,
                 sparse_epsilon=context.sparse_epsilon,
-                engine=engine_enabled(),
-                kernels=kernels_enabled(),
                 wall_seconds=wall,
                 flip_risk_events=kernel.flip_risk_events,
                 certified=kernel.flip_risk_events == 0,
@@ -948,29 +939,21 @@ class Session:
         params: Dict[str, Any],
         batch_fallback: Optional[BatchFallbackInfo],
     ) -> ScheduleResult:
-        engine = engine_enabled()
-        backend_obj: Optional[GainBackend] = None
         # Fixed-power algorithms run on the session's (instance,
         # powers) context: build it on first use, and re-pin it in the
-        # global cache so LRU eviction between calls can neither force
-        # a cold rebuild inside the implementation nor divert the
-        # flip-risk events onto a context we never read.  Self-powered
+        # global cache so LRU eviction between calls cannot force a
+        # cold rebuild inside the implementation.  Self-powered
         # algorithms (e.g. trivial, sqrt_coloring) resolve their own
         # power vectors, so the session context is not built for them.
-        if engine and (
-            spec.capabilities.needs_powers or self._context is not None
-        ):
-            context = self.context
-            repin_context(context)
-            backend_obj = context.backend
-        before = backend_obj.flip_risk_events if backend_obj is not None else 0
+        if spec.capabilities.needs_powers or self._context is not None:
+            repin_context(self.context)
         # Peel counters are module totals (self-powered algorithms build
         # contexts this session never sees), so snapshot-and-diff around
-        # the run — single scheduler thread, like the toggles.
+        # the run — single scheduler thread.
         peel_before = peel_risk_events()
         fb_before = len(peel_fallback_records())
         start = time.perf_counter()
-        with _preference_scope(
+        with recording_contexts() as used, _preference_scope(
             self.problem.backend,
             self.problem.sparse_epsilon,
             self.problem.array_namespace,
@@ -984,32 +967,27 @@ class Session:
                 **params,
             )
         wall = time.perf_counter() - start
-        delta = (
-            backend_obj.flip_risk_events - before
-            if backend_obj is not None
-            else 0
-        )
+        # Backend and flip-risk growth come from the contexts the
+        # algorithm actually ran on, which need not be the session's
+        # own (first_fit_sharded runs on a sharded context).
+        delta = sum(ctx.flip_risk_events - before for ctx, before in used)
         certified: Optional[bool] = None
-        if backend_obj is not None and spec.capabilities.certifiable:
-            certified = delta == 0
+        if used:
+            backend_name = used[0][0].backend_name
+            epsilon = used[0][0].sparse_epsilon
+            if spec.capabilities.certifiable:
+                certified = delta == 0
+        else:
+            backend_name = resolve_backend(self.problem.backend)
+            epsilon = resolve_sparse_epsilon(self.problem.sparse_epsilon)
         result = ScheduleResult(
             schedule=outcome.schedule,
             instance=self.problem.instance,
             provenance=Provenance(
                 algorithm=spec.name,
                 params=dict(params),
-                backend=(
-                    backend_obj.name
-                    if backend_obj is not None
-                    else resolve_backend(self.problem.backend)
-                ),
-                sparse_epsilon=(
-                    self._context.sparse_epsilon
-                    if self._context is not None
-                    else resolve_sparse_epsilon(self.problem.sparse_epsilon)
-                ),
-                engine=engine,
-                kernels=kernels_enabled(),
+                backend=backend_name,
+                sparse_epsilon=epsilon,
                 wall_seconds=wall,
                 flip_risk_events=delta,
                 certified=certified,
@@ -1171,8 +1149,6 @@ class BatchSession:
                     params=dict(params),
                     backend=backends[index].name,
                     sparse_epsilon=batch.contexts[index].sparse_epsilon,
-                    engine=True,
-                    kernels=True,
                     wall_seconds=wall,
                     flip_risk_events=delta,
                     certified=(

@@ -62,7 +62,6 @@ from repro.core.gains import (
 from repro.core.instance import Instance
 from repro.core.kernels import (
     first_fit_colors,
-    kernels_enabled,
     stacked_first_fit,
     stacked_local_search,
 )
@@ -659,8 +658,8 @@ class ContextBatch:
         attempts advance in lockstep — and each returned schedule is
         identical to calling
         :func:`repro.scheduling.local_search.improve_schedule` on that
-        pair alone.  Ragged/lossy batches (or a disabled kernel engine)
-        fall back to a per-pair ``improve_schedule`` loop.
+        pair alone.  Ragged/lossy batches fall back to a per-pair
+        ``improve_schedule`` loop.
 
         Parameters
         ----------
@@ -692,7 +691,7 @@ class ContextBatch:
                     "pair powers"
                 )
 
-        if not (self.stacked and kernels_enabled()):
+        if not self.stacked:
             return [
                 improve_schedule(
                     ctx.instance, schedule, beta=beta, max_rounds=max_rounds

@@ -52,12 +52,13 @@ per call — hot paths use the backend primitives instead.
 Numerical contract
 ------------------
 
-The context reproduces the from-scratch path bit-for-bit: gain-matrix
-entries are computed by the same :mod:`repro.core.interference`
-builders, and subset/color reductions use the same operation order, so
-margins (and therefore every feasibility decision and every schedule)
-are identical with the engine on or off.  The accumulator is the one
-exception — it maintains sums incrementally, so its values agree with
+The context reproduces the from-scratch computation bit-for-bit:
+gain-matrix entries are computed by the same
+:mod:`repro.core.interference` builders, and subset/color reductions
+use the same operation order, so margins (and therefore every
+feasibility decision and every schedule) are identical to the
+from-scratch oracles in ``tests/oracles.py``.  The accumulator is the
+one exception — it maintains sums incrementally, so its values agree with
 :func:`~repro.core.feasibility.sinr_margins` only up to floating-point
 accumulation order (tested to 1e-9 relative).  A lossless sparse
 backend (``epsilon = 0``, the default) preserves this contract exactly;
@@ -72,15 +73,6 @@ of leaving ``inf - inf = nan`` behind.  Zero interference is exact
 too — the accumulator counts positive contributors per request, so a
 request whose interferers all left reports margin ``inf`` again rather
 than a cancellation residue.
-
-Disabling the engine
---------------------
-
-``with engine_disabled(): ...`` (or ``set_engine_enabled(False)``)
-routes every wrapper back to the pre-engine from-scratch code path.
-The conformance suite runs every scheduler both ways; the benchmark
-(``benchmarks/bench_context_engine.py``) uses it to time the legacy
-path honestly.
 """
 
 from __future__ import annotations
@@ -90,6 +82,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -263,6 +256,13 @@ class InterferenceContext:
                 shard_executor=self.shard_executor or None,
             )
         return self._backend
+
+    @property
+    def flip_risk_events(self) -> int:
+        """The backend's cumulative
+        :attr:`~repro.core.gains.GainBackend.flip_risk_events` (``0``
+        while the gains are unbuilt; reading it never builds them)."""
+        return 0 if self._backend is None else self._backend.flip_risk_events
 
     @property
     def signals(self) -> np.ndarray:
@@ -461,9 +461,8 @@ class InterferenceContext:
     ) -> np.ndarray:
         """SINR margins ``signal / (beta * (interference + noise))``.
 
-        Bit-for-bit identical to
-        :func:`repro.core.feasibility.sinr_margins` (which routes here
-        when the engine is enabled).
+        :func:`repro.core.feasibility.sinr_margins` routes here; the
+        values are bit-for-bit those of the from-scratch computation.
         """
         beta = self.beta if beta is None else float(beta)
         noise = self.noise if noise is None else float(noise)
@@ -591,12 +590,11 @@ class InterferenceContext:
 class ClassAccumulator:
     """Incremental same-color interference bookkeeping for one class.
 
-    Generalizes the private ``_ClassState`` bookkeeping that used to
-    live inside ``first_fit_schedule``: the accumulator maintains, for
-    **every** request of the instance, the interference it would suffer
-    from the current member set — so testing whether an outside request
-    can join is O(k), and joining/leaving is O(n) (one gain-matrix
-    column), never an O(k^2) recompute.
+    The accumulator maintains, for **every** request of the instance,
+    the interference it would suffer from the current member set — so
+    testing whether an outside request can join is O(k), and
+    joining/leaving is O(n) (one gain-matrix column), never an O(k^2)
+    recompute.
 
     Infinite gains (shared-node pairs) are tracked as separate counts so
     that removal is exact: ``inf`` contributions never enter the finite
@@ -939,11 +937,10 @@ class ClassAccumulator:
 
 
 # ----------------------------------------------------------------------
-# Engine toggle + per-instance context cache
+# Per-instance context cache
 # ----------------------------------------------------------------------
 
 _lock = threading.RLock()
-_engine_enabled = True
 #: Per-instance caches live *on the instance* (as the attribute named
 #: below): instance -> contexts -> instance is then a self-contained
 #: reference cycle the garbage collector can reclaim once the caller
@@ -993,29 +990,40 @@ def _env_cache_limit() -> int:
 _cache_limit = _env_cache_limit()
 _hits = 0
 _misses = 0
-
-
-def engine_enabled() -> bool:
-    """Is the shared interference engine active on the wrapper paths?"""
-    return _engine_enabled
-
-
-def set_engine_enabled(flag: bool) -> None:
-    """Globally enable/disable routing the public wrappers through the
-    cached engine (disabled = pre-engine from-scratch code paths)."""
-    global _engine_enabled
-    _engine_enabled = bool(flag)
+#: ``(context, flip_risk_events at first hand-out)`` for every context
+#: :func:`get_context` returned inside the innermost
+#: :func:`recording_contexts` scope (``None`` outside any scope).
+_recorded: "ContextVar[Optional[List[Tuple[InterferenceContext, int]]]]" = (
+    ContextVar("repro_recorded_contexts", default=None)
+)
 
 
 @contextmanager
-def engine_disabled() -> Iterator[None]:
-    """Temporarily restore the from-scratch (legacy) compute paths."""
-    previous = _engine_enabled
-    set_engine_enabled(False)
+def recording_contexts() -> Iterator[List[Tuple[InterferenceContext, int]]]:
+    """Record the contexts :func:`get_context` hands out in this scope.
+
+    Yields a list that fills with one ``(context, flip_risk_before)``
+    pair per distinct context, in first-use order; ``flip_risk_before``
+    is :attr:`InterferenceContext.flip_risk_events` when the scope first
+    handed the context out.  :class:`repro.api.Session` reads it to report
+    the backend and flip-risk growth of the contexts an algorithm
+    actually ran on, which need not be the session's own (e.g.
+    ``first_fit_sharded`` runs on a sharded context).
+    """
+    seen: List[Tuple[InterferenceContext, int]] = []
+    token = _recorded.set(seen)
     try:
-        yield
+        yield seen
     finally:
-        set_engine_enabled(previous)
+        _recorded.reset(token)
+
+
+def _record(context: InterferenceContext) -> InterferenceContext:
+    seen = _recorded.get()
+    if seen is not None and all(c is not context for c, _ in seen):
+        seen.append((context, context.flip_risk_events))
+    return context
+
 
 
 def context_cache_limit() -> int:
@@ -1120,7 +1128,7 @@ def get_context(
         if context is not None:
             _lru[lru_key] = _lru.pop(lru_key, None) or weakref.ref(instance)
             _hits += 1
-            return context
+            return _record(context)
         _misses += 1
         context = InterferenceContext(
             instance,
@@ -1137,7 +1145,7 @@ def get_context(
         per_instance[key] = context
         _lru[lru_key] = weakref.ref(instance)
         _evict_over_limit()
-        return context
+        return _record(context)
 
 
 def _context_key(context: InterferenceContext) -> tuple:
@@ -1208,24 +1216,6 @@ def unpin_context(context: InterferenceContext) -> None:
         if not per_instance:
             delattr(instance, _CACHE_ATTR)
             _cached_instances.discard(instance)
-
-
-def maybe_context(
-    instance: Instance, powers: np.ndarray
-) -> Optional[InterferenceContext]:
-    """:func:`get_context` when the engine is enabled, else ``None``.
-
-    The idiom for algorithms with a legacy fallback::
-
-        ctx = maybe_context(instance, powers)
-        if ctx is not None:
-            ...  # cached fast path
-        else:
-            ...  # from-scratch path
-    """
-    if not _engine_enabled:
-        return None
-    return get_context(instance, powers)
 
 
 def cache_info() -> Dict[str, int]:

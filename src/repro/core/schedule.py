@@ -122,7 +122,7 @@ def build_schedule(
 ) -> Schedule:
     """The shared constructor for scheduler outputs.
 
-    Every scheduler (engine, kernel and legacy paths alike) routes its
+    Every scheduler routes its
     result through here so dtype/shape normalization and the structural
     checks of :class:`Schedule` run exactly once, and so the emitted
     schedule never aliases a caller-owned power array

@@ -4,7 +4,8 @@ The hypothesis properties drive a :class:`ClassAccumulator` through
 random add/remove sequences and require agreement with from-scratch
 :func:`sinr_margins` to 1e-9 relative — including infinite-gain
 (shared-node) entries, which must survive removal exactly (no
-``inf - inf`` debris).
+``inf - inf`` debris).  The from-scratch references are the oracles in
+``tests/oracles.py``.
 """
 
 import numpy as np
@@ -12,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.core.context import (
     InterferenceContext,
     cache_info,
     clear_context_cache,
-    engine_disabled,
-    engine_enabled,
     get_context,
-    maybe_context,
 )
 from repro.core.errors import InvalidScheduleError
 from repro.core.feasibility import (
@@ -59,7 +58,7 @@ POWERS = {name: SquareRootPower()(inst) for name, inst in POOL.items()}
 
 
 class TestContextMatchesLegacy:
-    """The engine path must be bit-identical to the from-scratch path."""
+    """The engine path must be bit-identical to the from-scratch oracle."""
 
     @pytest.mark.parametrize("name", sorted(POOL))
     def test_margins_full_and_colored(self, name):
@@ -75,24 +74,21 @@ class TestContextMatchesLegacy:
             {"beta": 2.5},
             {"noise": 0.25},
         ):
-            with engine_disabled():
-                expected = sinr_margins(instance, powers, **kwargs)
+            expected = oracles.sinr_margins(instance, powers, **kwargs)
             got = context.margins(**kwargs)
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("name", sorted(POOL))
-    def test_wrappers_agree_across_engine_toggle(self, name):
+    def test_wrappers_agree_with_oracle(self, name):
         instance, powers = POOL[name], POWERS[name]
         subset = np.asarray([0, 1, 3])
         colors = np.asarray([0, 1, 0, 1, 2] + [0] * (instance.n - 5))
-        with engine_disabled():
-            legacy = (
-                sinr_margins(instance, powers),
-                feasible_subset_mask(instance, powers, subset),
-                is_feasible_subset(instance, powers, subset),
-                is_feasible_partition(instance, powers, colors),
-            )
-        assert engine_enabled()
+        legacy = (
+            oracles.sinr_margins(instance, powers),
+            oracles.feasible_subset_mask(instance, powers, subset),
+            oracles.is_feasible_subset(instance, powers, subset),
+            bool(np.all(oracles.sinr_margins(instance, powers, colors=colors) >= 1 - 1e-9)),
+        )
         engine = (
             sinr_margins(instance, powers),
             feasible_subset_mask(instance, powers, subset),
@@ -146,13 +142,6 @@ class TestContextCache:
         assert plain is not seeded
         assert plain.noise == instance.noise and plain.beta == instance.beta
         assert get_context(instance, powers, noise=5.0, beta=2.0) is seeded
-
-    def test_maybe_context_respects_toggle(self):
-        instance, powers = POOL["bidir"], POWERS["bidir"]
-        assert maybe_context(instance, powers) is not None
-        with engine_disabled():
-            assert maybe_context(instance, powers) is None
-        assert maybe_context(instance, powers) is not None
 
     def test_context_validates_powers(self):
         instance = POOL["bidir"]
@@ -264,13 +253,12 @@ class TestContextCache:
 
     def test_duplicate_subset_indices_match_legacy(self):
         """A repeated index in `subset` is two copies of one request;
-        engine and legacy paths must agree on its (in)feasibility."""
+        engine and oracle must agree on its (in)feasibility."""
         for name in ("bidir", "directed"):
             instance, powers = POOL[name], POWERS[name]
             subset = np.asarray([2, 2])
-            with engine_disabled():
-                legacy_margins = sinr_margins(instance, powers, subset=subset)
-                legacy_ok = is_feasible_subset(instance, powers, subset)
+            legacy_margins = oracles.sinr_margins(instance, powers, subset=subset)
+            legacy_ok = oracles.is_feasible_subset(instance, powers, subset)
             engine_margins = sinr_margins(instance, powers, subset=subset)
             np.testing.assert_array_equal(engine_margins, legacy_margins)
             assert is_feasible_subset(instance, powers, subset) == legacy_ok
@@ -292,15 +280,13 @@ class TestGreedyOnContext:
         from repro.analysis.capacity import greedy_max_feasible_subset
 
         instance, powers = POOL[name], POWERS[name]
-        with engine_disabled():
-            legacy = greedy_max_feasible_subset(instance, powers)
+        legacy = oracles.greedy_max_feasible_subset(instance, powers)
         engine = greedy_max_feasible_subset(instance, powers)
         np.testing.assert_array_equal(engine, legacy)
         # Also at a rescaled gain (the Theorem 15 repair setting).
-        with engine_disabled():
-            legacy_half = greedy_max_feasible_subset(
-                instance, powers, beta=instance.beta / 2.0
-            )
+        legacy_half = oracles.greedy_max_feasible_subset(
+            instance, powers, beta=instance.beta / 2.0
+        )
         engine_half = greedy_max_feasible_subset(
             instance, powers, beta=instance.beta / 2.0
         )
@@ -340,8 +326,7 @@ def test_accumulator_matches_from_scratch_margins(name, ops):
         assert acc.feasible()
         return
     subset = np.asarray(sorted(members), dtype=int)
-    with engine_disabled():
-        expected = sinr_margins(instance, powers, subset=subset)
+    expected = oracles.sinr_margins(instance, powers, subset=subset)
     got = acc.margins()
     # inf/0 entries (shared-node pairs) must match exactly; finite
     # entries to 1e-9 relative.
@@ -368,8 +353,7 @@ def test_accumulator_interference_at_outsiders(name, ops, probe):
     if probe in members:
         return
     trial = np.asarray(sorted(members + [probe]), dtype=int)
-    with engine_disabled():
-        expected = sinr_margins(instance, powers, subset=trial)
+    expected = oracles.sinr_margins(instance, powers, subset=trial)
     expected_probe = expected[int(np.searchsorted(trial, probe))]
     got_interf = acc.interference(np.asarray([probe]))[0]
     signal = context.signals[probe]
@@ -391,8 +375,7 @@ def test_accumulator_feasible_matches_is_feasible_subset(name, ops):
     instance, powers = POOL[name], POWERS[name]
     acc = get_context(instance, powers).accumulator()
     members = _apply_ops(acc, ops)
-    with engine_disabled():
-        expected = is_feasible_subset(instance, powers, sorted(members))
+    expected = oracles.is_feasible_subset(instance, powers, sorted(members))
     assert acc.feasible() == expected
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import gains
-from repro.core.context import clear_context_cache, engine_disabled, get_context
+from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import (
     ArrayBackend,
     DenseBackend,
@@ -450,16 +450,6 @@ class TestBackendSelection:
             assert isinstance(ctx.backend, SparseBackend)
         finally:
             set_default_backend(before)
-
-    def test_engine_disabled_ignores_backend(self):
-        """The legacy (engine-off) path stays the dense from-scratch
-        reference regardless of the backend default."""
-        instance = random_uniform_instance(12, rng=9)
-        powers = SquareRootPower()(instance)
-        expected = first_fit_schedule(instance, powers).colors
-        with backend_scope("sparse"), engine_disabled():
-            legacy = first_fit_schedule(instance, powers).colors
-        np.testing.assert_array_equal(legacy, expected)
 
     def test_dense_backend_reuses_context_arrays(self):
         instance = random_uniform_instance(8, rng=2)

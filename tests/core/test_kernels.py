@@ -2,13 +2,12 @@
 
 Three layers of guarantees:
 
-* **Golden equality** — every rewired scheduler (first-fit, peeling,
-  sqrt-coloring, local search, greedy subset extraction) emits
-  bit-identical ``colors`` arrays on the kernel path and the PR-1
-  accumulator/subset-rebuild reference path
-  (:func:`repro.core.kernels.kernels_disabled`), across directed and
-  bidirectional instances including shared-node (infinite-gain) and
-  trivial (zero-interference) edge cases.
+* **Golden equality** — every kernel-backed scheduler (first-fit,
+  peeling, sqrt-coloring, local search, greedy subset extraction) emits
+  bit-identical ``colors`` arrays to its oracle in ``tests/oracles.py``
+  (first-fit also to the per-class ``ClassAccumulator`` scan), across
+  directed and bidirectional instances including shared-node
+  (infinite-gain) and trivial (zero-interference) edge cases.
 * **Property tests** — random add/remove/move sequences keep the
   :class:`ScheduleKernel` state bitwise equal to one
   :class:`ClassAccumulator` per class, and snapshot/restore is an exact
@@ -18,20 +17,21 @@ Three layers of guarantees:
   batches.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.batch import ContextBatch
-from repro.core.context import clear_context_cache, engine_disabled, get_context
+from repro.core.context import clear_context_cache, get_context
 from repro.core.errors import InvalidScheduleError
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     ScheduleKernel,
-    kernels_disabled,
-    kernels_enabled,
     peel_max_feasible_subset,
     stacked_local_search,
 )
@@ -48,6 +48,11 @@ from repro.scheduling.local_search import improve_schedule
 from repro.scheduling.peeling import peeling_schedule
 from repro.scheduling.sqrt_coloring import sqrt_coloring
 from repro.scheduling.trivial import trivial_schedule
+
+#: Modules whose by-name peel import the tests swap for the oracle
+#: (``repro.scheduling`` re-exports a same-named sqrt_coloring function).
+peeling_module = importlib.import_module("repro.scheduling.peeling")
+sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
 
 
 def _shared_node_instance(direction: Direction) -> Instance:
@@ -92,7 +97,7 @@ def _fresh_cache():
 
 
 # ----------------------------------------------------------------------
-# Golden equality: kernel path vs accumulator reference path
+# Golden equality: kernel path vs the oracles
 # ----------------------------------------------------------------------
 
 
@@ -102,10 +107,8 @@ class TestKernelGoldenEquality:
         instance = GRID[name]
         powers = SquareRootPower()(instance)
         kernel = first_fit_schedule(instance, powers)
-        with kernels_disabled():
-            reference = first_fit_schedule(instance, powers)
-        with engine_disabled():
-            legacy = first_fit_schedule(instance, powers)
+        reference = oracles.first_fit_accumulator(instance, powers)
+        legacy = oracles.first_fit_schedule(instance, powers)
         np.testing.assert_array_equal(kernel.colors, reference.colors)
         np.testing.assert_array_equal(kernel.colors, legacy.colors)
 
@@ -114,16 +117,17 @@ class TestKernelGoldenEquality:
         instance = GRID[name]
         powers = SquareRootPower()(instance)
         kernel = greedy_max_feasible_subset(instance, powers)
-        with kernels_disabled():
-            reference = greedy_max_feasible_subset(instance, powers)
+        reference = oracles.context_peel(instance, powers)
+        legacy = oracles.greedy_max_feasible_subset(instance, powers)
         np.testing.assert_array_equal(kernel, reference)
+        np.testing.assert_array_equal(kernel, legacy)
 
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_peeling_bit_identical(self, name):
         instance = GRID[name]
         powers = SquareRootPower()(instance)
         kernel = peeling_schedule(instance, powers)
-        with kernels_disabled():
+        with oracles.swap_peel(peeling_module, oracles.greedy_max_feasible_subset):
             reference = peeling_schedule(instance, powers)
         np.testing.assert_array_equal(kernel.colors, reference.colors)
 
@@ -131,7 +135,7 @@ class TestKernelGoldenEquality:
     def test_sqrt_coloring_bit_identical(self, name):
         instance = GRID[name]
         kernel, _ = sqrt_coloring(instance, rng=42)
-        with kernels_disabled():
+        with oracles.swap_peel(sqrt_module, oracles.greedy_max_feasible_subset):
             reference, _ = sqrt_coloring(instance, rng=42)
         np.testing.assert_array_equal(kernel.colors, reference.colors)
 
@@ -144,8 +148,7 @@ class TestKernelGoldenEquality:
             trivial_schedule(instance),
         ):
             kernel = improve_schedule(instance, base)
-            with kernels_disabled():
-                reference = improve_schedule(instance, base)
+            reference = oracles.improve_schedule(instance, base)
             np.testing.assert_array_equal(kernel.colors, reference.colors)
 
     def test_greedy_explicit_candidates_and_beta(self):
@@ -155,10 +158,9 @@ class TestKernelGoldenEquality:
         kernel = greedy_max_feasible_subset(
             instance, powers, candidates=candidates, beta=instance.beta / 2
         )
-        with kernels_disabled():
-            reference = greedy_max_feasible_subset(
-                instance, powers, candidates=candidates, beta=instance.beta / 2
-            )
+        reference = oracles.greedy_max_feasible_subset(
+            instance, powers, candidates=candidates, beta=instance.beta / 2
+        )
         np.testing.assert_array_equal(kernel, reference)
 
     def test_peel_duplicate_candidates_defers_to_reference(self):
@@ -176,15 +178,6 @@ class TestKernelGoldenEquality:
         context = get_context(instance, powers)
         result = peel_max_feasible_subset(context, candidates=[])
         assert result.size == 0
-
-    def test_toggle_restores_state(self):
-        assert kernels_enabled()
-        with kernels_disabled():
-            assert not kernels_enabled()
-            with kernels_disabled():
-                assert not kernels_enabled()
-            assert not kernels_enabled()
-        assert kernels_enabled()
 
 
 # ----------------------------------------------------------------------

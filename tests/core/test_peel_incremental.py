@@ -2,10 +2,12 @@
 
 Contracts under test (see :func:`repro.core.kernels.peel_max_feasible_subset`):
 
-* the incremental peel returns exactly the same subset as the retained
-  compacting reference (``peel_incremental_disabled()``) and as the
-  PR-1 from-scratch reference, across the conformance grid — directed
-  and bidirectional instances, shared nodes (infinite gains), candidate
+* the incremental peel returns exactly the same subset as the
+  per-round-rebuild reference
+  (:meth:`~repro.core.context.InterferenceContext.greedy_max_feasible_subset`)
+  and, on lossless backends, as the from-scratch oracle in
+  ``tests/oracles.py``, across the conformance grid — directed and
+  bidirectional instances, shared nodes (infinite gains), candidate
   subsets, beta overrides, and epsilon-pruned sparse backends;
 * tolerance-window decisions (argmin ties, threshold crossings) are
   resolved exactly and counted as ``peel_risk_events``;
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import backend_scope, build_backend
@@ -31,8 +34,6 @@ from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
     peel_fallback_records,
-    peel_incremental_disabled,
-    peel_incremental_enabled,
     peel_max_feasible_subset,
     peel_risk_events,
     reset_peel_events,
@@ -78,20 +79,21 @@ def _mirror_quad_instance():
 
 
 def _both_ways(context, candidates=None, beta=None):
+    """The incremental peel against the per-round-rebuild reference on
+    the same backend and, when that backend is lossless, against the
+    from-scratch oracle."""
     incremental = peel_max_feasible_subset(
         context, candidates=candidates, beta=beta
     )
-    assert peel_incremental_enabled()
-    with peel_incremental_disabled():
-        assert not peel_incremental_enabled()
-        reference = peel_max_feasible_subset(
-            context, candidates=candidates, beta=beta
-        )
-    scratch = context.greedy_max_feasible_subset(
+    reference = context.greedy_max_feasible_subset(
         candidates=candidates, beta=beta
     )
     np.testing.assert_array_equal(incremental, reference)
-    np.testing.assert_array_equal(incremental, scratch)
+    if context.sparse_epsilon == 0.0:
+        scratch = oracles.greedy_max_feasible_subset(
+            context.instance, context.powers, candidates=candidates, beta=beta
+        )
+        np.testing.assert_array_equal(incremental, scratch)
     return incremental
 
 

@@ -325,6 +325,35 @@ class TestProblemIntegration:
             baseline.schedule.colors, sharded.schedule.colors
         )
 
+    def test_sharded_provenance_comes_from_the_sharded_context(self):
+        """first_fit_sharded on a pruned sparse session reports the
+        context it ran on: the sharded backend, that backend's
+        flip-risk events (those of sparse first-fit on the same
+        instance) and no certification."""
+        n = 256
+        side = 2.0 * np.sqrt(n)
+        instance = random_uniform_instance(
+            n, side=side, max_link_fraction=min(1.0, 4.0 / side), rng=3
+        )
+        clear_context_cache()
+        session = Problem(
+            instance, backend="sparse", sparse_epsilon=0.05
+        ).session()
+        sparse = session.schedule("first_fit")
+        sharded = session.schedule(
+            "first_fit_sharded", workers=2, executor="serial"
+        )
+        clear_context_cache()
+        np.testing.assert_array_equal(sparse.colors, sharded.colors)
+        assert sparse.provenance.flip_risk_events > 0
+        assert sparse.provenance.certified is False
+        assert sharded.provenance.backend == "sharded"
+        assert (
+            sharded.provenance.flip_risk_events
+            == sparse.provenance.flip_risk_events
+        )
+        assert sharded.provenance.certified is False
+
     def test_workers_require_sharded_backend(self):
         instance, _ = GRID["euclid-dir"]
         with pytest.raises(ValueError, match="sharded"):

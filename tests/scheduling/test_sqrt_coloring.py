@@ -155,12 +155,16 @@ class TestSingleRequestFallback:
         assert sorted(schedule.colors.tolist()) == list(range(inst.n))
         assert stats.class_sizes == [1] * inst.n
 
-    def test_fallback_matches_between_engine_paths(self):
-        from repro.core.context import clear_context_cache, engine_disabled
+    def test_fallback_matches_oracle_peel(self):
+        import importlib
 
+        import oracles
+        from repro.core.context import clear_context_cache
+
+        sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
         clear_context_cache()
         _, (engine_schedule, _) = self._run(noise=1e12)
-        with engine_disabled():
+        with oracles.swap_peel(sqrt_module, oracles.greedy_max_feasible_subset):
             _, (legacy_schedule, _) = self._run(noise=1e12)
         assert (
             engine_schedule.colors.tolist() == legacy_schedule.colors.tolist()

@@ -6,21 +6,25 @@ metrics, n in {1, 2, 8, 32}, plus shared-node adversarial cases — and
 every emitted schedule must satisfy
 :func:`repro.core.feasibility.is_feasible_partition`.
 
-The whole grid runs twice: once with the shared interference engine on
-the call path (the default) and once with it disabled
-(:func:`repro.core.context.engine_disabled` restores the pre-engine
-from-scratch computation), so a regression in either path — or any
-divergence in feasibility semantics between them — fails loudly.
+Every scheduler built on first-fit, local search or the greedy peel
+must also emit exactly the schedule of its from-scratch oracle in
+``tests/oracles.py`` — on the grid and on random small instances
+(hypothesis) — so a divergence between the production path and the
+exact SINR constraint fails loudly.
 """
 
-import contextlib
+import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.context import clear_context_cache, engine_disabled
-from repro.core.kernels import kernels_disabled
+import oracles
+from repro.analysis.capacity import greedy_max_feasible_subset
+from repro.core.context import clear_context_cache
 from repro.core.feasibility import is_feasible_partition
+from repro.core.gains import backend_scope
 from repro.core.instance import Direction, Instance
 from repro.geometry.line import LineMetric
 from repro.instances.line_instances import equispaced_line_instance
@@ -29,8 +33,13 @@ from repro.instances.random_instances import (
     random_uniform_instance,
 )
 from repro.power.oblivious import SquareRootPower
+from repro.scheduling import gain_scaling, peeling, protocol_model
 from repro.scheduling.distributed import distributed_coloring
-from repro.scheduling.exact import MAX_EXACT_N, exact_minimum_colors
+from repro.scheduling.exact import (
+    MAX_EXACT_N,
+    _feasibility_table,
+    exact_minimum_colors,
+)
 from repro.scheduling.firstfit import (
     first_fit_free_power_schedule,
     first_fit_schedule,
@@ -41,6 +50,9 @@ from repro.scheduling.peeling import peeling_schedule
 from repro.scheduling.protocol_model import protocol_schedule
 from repro.scheduling.sqrt_coloring import sqrt_coloring
 from repro.scheduling.trivial import trivial_schedule
+
+#: The module, not the same-named function ``repro.scheduling`` exports.
+sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
 
 SIZES = (1, 2, 8, 32)
 
@@ -123,22 +135,18 @@ def _schedulers():
 SCHEDULERS = _schedulers()
 
 
-@pytest.fixture(params=["engine", "legacy"])
-def engine_mode(request):
-    """Run the test body with the context engine enabled or disabled."""
+@pytest.fixture
+def fresh_cache():
+    """Run the test body on an empty context cache."""
     clear_context_cache()
-    if request.param == "legacy":
-        with engine_disabled():
-            yield request.param
-    else:
-        yield request.param
+    yield
     clear_context_cache()
 
 
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("instance_name", sorted(GRID))
 def test_scheduler_emits_feasible_partition(
-    engine_mode, instance_name, scheduler_name
+    fresh_cache, instance_name, scheduler_name
 ):
     instance = GRID[instance_name]
     if scheduler_name == "exact" and instance.n > MAX_EXACT_N:
@@ -150,13 +158,12 @@ def test_scheduler_emits_feasible_partition(
     assert np.all(schedule.colors >= 0)
     assert np.all(schedule.powers > 0)
     assert is_feasible_partition(instance, schedule.powers, schedule.colors), (
-        f"{scheduler_name} emitted an infeasible schedule on {instance_name} "
-        f"({engine_mode} path)"
+        f"{scheduler_name} emitted an infeasible schedule on {instance_name}"
     )
 
 
 @pytest.mark.parametrize("instance_name", sorted(GRID))
-def test_gain_scaling_respects_target(engine_mode, instance_name):
+def test_gain_scaling_respects_target(fresh_cache, instance_name):
     """The rescaled coloring must be feasible at the *stricter* gain."""
     instance = GRID[instance_name]
     powers = SquareRootPower()(instance)
@@ -167,62 +174,130 @@ def test_gain_scaling_respects_target(engine_mode, instance_name):
     )
 
 
-#: The four engine/kernels toggle combinations: every scheduler must
-#: emit an *identical* schedule on each (kernels only matter when the
-#: engine is on, but the combination must still hold trivially).
-TOGGLE_COMBOS = {
-    "engine+kernels": (),
-    "engine-only": ("kernels",),
-    "legacy+kernels": ("engine",),
-    "legacy-only": ("engine", "kernels"),
+#: Schedulers whose oracle is a direct call into ``tests/oracles.py``.
+ORACLE_RUNS = {
+    "first_fit": lambda instance, powers: oracles.first_fit_schedule(
+        instance, powers
+    ),
+    "local_search": lambda instance, powers: oracles.improve_schedule(
+        instance, oracles.first_fit_schedule(instance, powers)
+    ),
+}
+
+#: Schedulers built on first-fit or the greedy peel: their oracle is
+#: the same scheduler with that by-name import swapped for the oracle.
+ORACLE_SWAPS = {
+    "gain_scaling": (gain_scaling, "first_fit_schedule", oracles.first_fit_schedule),
+    "protocol_model": (
+        protocol_model,
+        "first_fit_schedule",
+        oracles.first_fit_schedule,
+    ),
+    "peeling": (
+        peeling,
+        "greedy_max_feasible_subset",
+        oracles.greedy_max_feasible_subset,
+    ),
+    "sqrt_coloring": (
+        sqrt_module,
+        "greedy_max_feasible_subset",
+        oracles.greedy_max_feasible_subset,
+    ),
+    "sqrt_coloring_no_lp": (
+        sqrt_module,
+        "greedy_max_feasible_subset",
+        oracles.greedy_max_feasible_subset,
+    ),
 }
 
 
-def _toggle_stack(disabled):
-    stack = contextlib.ExitStack()
-    if "engine" in disabled:
-        stack.enter_context(engine_disabled())
-    if "kernels" in disabled:
-        stack.enter_context(kernels_disabled())
-    return stack
-
-
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize(
-    "instance_name",
-    sorted(
-        name
-        for name in GRID
-        if name.endswith(("n8", "n32")) or "shared-node" in name
-    ),
-)
-def test_all_toggle_combinations_emit_identical_schedules(
-    instance_name, scheduler_name
+@pytest.mark.parametrize("backend", ["dense", "sparse", "array"])
+@pytest.mark.parametrize("scheduler_name", sorted([*ORACLE_RUNS, *ORACLE_SWAPS]))
+@pytest.mark.parametrize("instance_name", sorted(GRID))
+def test_scheduler_matches_oracle(
+    fresh_cache, monkeypatch, instance_name, scheduler_name, backend
 ):
-    """Satellite coverage: engine_disabled() and kernels_disabled()
-    nest in all four on/off combinations, and every combination must
-    produce the same schedule (randomized schedulers get identical
-    seeds per combination)."""
+    """Every fixed-power scheduler emits its oracle's schedule
+    bit-for-bit (randomized ones with identical seeds) on every
+    lossless gain backend."""
     instance = GRID[instance_name]
-    if scheduler_name == "exact" and instance.n > MAX_EXACT_N:
-        pytest.skip(f"exact solver caps at n={MAX_EXACT_N}")
-    scheduler = SCHEDULERS[scheduler_name]
-    results = {}
-    for combo, disabled in TOGGLE_COMBOS.items():
-        clear_context_cache()
-        with _toggle_stack(disabled):
-            schedule = scheduler(instance, np.random.default_rng(99))
-        results[combo] = schedule.colors
-    reference = results["engine+kernels"]
-    for combo, colors in results.items():
-        np.testing.assert_array_equal(
-            colors,
-            reference,
-            err_msg=(
-                f"{scheduler_name} on {instance_name}: schedule under "
-                f"{combo} differs from engine+kernels"
-            ),
-        )
+    with backend_scope(backend):
+        schedule = SCHEDULERS[scheduler_name](instance, np.random.default_rng(99))
+        if scheduler_name in ORACLE_RUNS:
+            powers = SquareRootPower()(instance)
+            expected = ORACLE_RUNS[scheduler_name](instance, powers)
+        else:
+            monkeypatch.setattr(*ORACLE_SWAPS[scheduler_name])
+            expected = SCHEDULERS[scheduler_name](
+                instance, np.random.default_rng(99)
+            )
+    np.testing.assert_array_equal(
+        schedule.colors,
+        expected.colors,
+        err_msg=(
+            f"{scheduler_name} differs from its oracle on {instance_name} "
+            f"({backend} backend)"
+        ),
+    )
+    np.testing.assert_array_equal(schedule.powers, expected.powers)
+
+
+@pytest.mark.parametrize(
+    "instance_name", sorted(name for name in GRID if GRID[name].n <= 8)
+)
+def test_exact_feasibility_table_matches_oracle(fresh_cache, instance_name):
+    """The exact solver's subset-feasibility table (its only SINR
+    input) agrees with the from-scratch oracle on every multi-request
+    subset."""
+    instance = GRID[instance_name]
+    powers = SquareRootPower()(instance)
+    table = _feasibility_table(instance, powers, None)
+    for mask, feasible in enumerate(table):
+        members = [i for i in range(instance.n) if mask >> i & 1]
+        if len(members) >= 2:
+            assert feasible == oracles.is_feasible_subset(
+                instance, powers, members
+            ), f"subset {members} of {instance_name}"
+
+
+@st.composite
+def small_instances(draw):
+    """Random instances with n <= 24: uniform Euclidean ones, and line
+    chains where consecutive links share a node (infinite gains)."""
+    n = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 10_000))
+    direction = draw(st.sampled_from([Direction.DIRECTED, Direction.BIDIRECTIONAL]))
+    if draw(st.booleans()):
+        return random_uniform_instance(n, rng=seed, direction=direction)
+    rng = np.random.default_rng(seed)
+    metric = LineMetric(np.cumsum(rng.uniform(0.5, 3.0, size=n + 1)))
+    return Instance(
+        metric, list(range(n)), list(range(1, n + 1)), direction=direction
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=small_instances(), seed=st.integers(0, 10_000))
+def test_production_paths_match_oracles(instance, seed):
+    clear_context_cache()
+    powers = SquareRootPower()(instance)
+    base = first_fit_schedule(instance, powers)
+    np.testing.assert_array_equal(
+        base.colors, oracles.first_fit_schedule(instance, powers).colors
+    )
+    np.testing.assert_array_equal(
+        improve_schedule(instance, base).colors,
+        oracles.improve_schedule(instance, base).colors,
+    )
+    np.testing.assert_array_equal(
+        greedy_max_feasible_subset(instance, powers),
+        oracles.greedy_max_feasible_subset(instance, powers),
+    )
+    schedule = sqrt_coloring(instance, rng=seed, use_lp=False)[0]
+    with oracles.swap_peel(sqrt_module, oracles.greedy_max_feasible_subset):
+        expected = sqrt_coloring(instance, rng=seed, use_lp=False)[0]
+    np.testing.assert_array_equal(schedule.colors, expected.colors)
+    clear_context_cache()
 
 
 #: Session.schedule equivalents of the legacy free-function calls
@@ -301,7 +376,7 @@ def test_session_matches_legacy_free_functions(
 @pytest.mark.parametrize(
     "direction", [Direction.DIRECTED, Direction.BIDIRECTIONAL]
 )
-def test_shared_node_pairs_never_share_colors(engine_mode, direction):
+def test_shared_node_pairs_never_share_colors(fresh_cache, direction):
     """On the shared-node chain, adjacent requests have infinite mutual
     gain; every scheduler must keep them in distinct colors."""
     instance = _shared_node_instance(direction)
