@@ -14,9 +14,12 @@ those primitives, and the engine layers
 schedulers) consume gains **only** through them.  Two implementations:
 
 * :class:`DenseBackend` — the materialized ``(n, n)`` arrays the engine
-  has always used.  Every primitive returns the exact expression the
-  pre-backend code evaluated (same gathers, same layouts), so the dense
-  path is bit-identical to historical behaviour.
+  has always used, filled tile by tile from
+  :meth:`~repro.geometry.metric.Metric.loss_block` (never from the
+  metric's full distance matrix).  Every primitive returns the exact
+  expression the pre-backend code evaluated (same gathers, same
+  layouts), so the dense path is bit-identical to historical
+  behaviour.
 * :class:`SparseBackend` — CSR storage (plus CSR transposes for column
   access) built **tiled**, a block of rows at a time, so an instance at
   ``n = 16384`` never materializes a dense matrix (nor, on
@@ -82,12 +85,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from repro.core.instance import Direction, Instance
-from repro.core.interference import (
-    _class_sum,
-    _safe_divide,
-    bidirectional_gain_matrices,
-    directed_gain_matrix,
-)
+from repro.core.interference import _class_sum, _safe_divide
 
 __all__ = [
     "ARRAY_NAMESPACES",
@@ -133,9 +131,9 @@ BACKENDS = ("dense", "sparse", "array", "sharded")
 #: the framework itself).
 ARRAY_NAMESPACES = ("numpy", "array_api_strict", "torch", "cupy")
 
-#: Default number of gain-matrix rows materialized at once while
-#: building (or row-summing) a sparse backend; peak scratch memory is
-#: ``O(tile * n)`` instead of ``O(n^2)``.
+#: Default number of gain-matrix rows computed at once while building
+#: or growing any backend (or row-summing a sparse one); peak scratch
+#: memory beyond the stored gains is ``O(tile * n)``.
 DEFAULT_TILE_ROWS = 512
 
 
@@ -452,9 +450,9 @@ def _gain_block(
     :func:`~repro.core.interference.bidirectional_gain_matrices`), so
     every entry is bit-identical to its full-matrix counterpart —
     including the zero diagonal where a row and column name the same
-    request.  This is the one primitive both the tiled sparse build and
-    the growable appends (:meth:`GainBackend.append_requests`) fill
-    their storage from.
+    request.  This is the fill primitive of every gain build: the
+    dense and array builds and their appends (:func:`_fill_gains`),
+    the tiled sparse and sharded CSR builds, and sparse growth.
     """
     metric = instance.metric
     alpha = instance.alpha
@@ -471,6 +469,55 @@ def _gain_block(
     if np.any(diagonal):
         gains[diagonal] = 0.0
     return gains
+
+
+def _host_gain_targets(instance: Instance):
+    """Endpoint-node arrays to build each gain matrix from: the
+    receivers in the directed variant (``G``), the senders and the
+    receivers in the bidirectional one (``G_u``, ``G_v``)."""
+    if instance.direction is Direction.DIRECTED:
+        return (instance.receivers,)
+    return (instance.senders, instance.receivers)
+
+
+def _fill_gains(bufs, instance: Instance, powers: np.ndarray, n_old: int) -> bool:
+    """Fill the gains of requests ``n_old .. instance.n`` into host
+    buffers that already hold the first ``n_old`` rows and columns.
+
+    *bufs* has one buffer of at least ``(n, n)`` per entry of
+    :func:`_host_gain_targets`.  Each is filled by :func:`_gain_block`
+    tiles of :data:`DEFAULT_TILE_ROWS` rows: the top-right block (what
+    the new requests induce at the existing rows), then the new rows
+    over all ``n`` columns.  With ``n_old = 0`` this is the whole
+    matrix, which never touches the metric's full distance matrix on
+    coordinate-backed metrics.  Returns whether any filled entry is
+    non-finite.
+    """
+    n = instance.n
+    all_idx = np.arange(n)
+    tile = DEFAULT_TILE_ROWS
+    # (row start, row stop, first column) of each tile.
+    strips = [(lo, min(lo + tile, n_old), n_old) for lo in range(0, n_old, tile)]
+    strips += [(lo, min(lo + tile, n), 0) for lo in range(n_old, n, tile)]
+    non_finite = False
+    for buf, nodes in zip(bufs, _host_gain_targets(instance)):
+        for lo, hi, c0 in strips:
+            block = _gain_block(
+                instance, powers, nodes, all_idx[lo:hi], all_idx[c0:]
+            )
+            non_finite = non_finite or not bool(np.all(np.isfinite(block)))
+            buf[lo:hi, c0:n] = block
+    return non_finite
+
+
+def _build_gains(instance: Instance, powers: np.ndarray):
+    """The ``(n, n)`` host gain matrices of *instance*, one per
+    :func:`_host_gain_targets` entry, filled by :func:`_fill_gains`
+    (bit-identical to the full-matrix builders), and whether any entry
+    is non-finite."""
+    n = instance.n
+    hosts = tuple(np.empty((n, n)) for _ in _host_gain_targets(instance))
+    return hosts, _fill_gains(hosts, instance, powers, 0)
 
 
 def validate_growth(
@@ -782,18 +829,19 @@ class DenseBackend(GainBackend):
 
     @classmethod
     def build(cls, instance: Instance, powers: np.ndarray) -> "DenseBackend":
-        """Build from the shared gain-matrix builders (the exact arrays
-        the pre-backend engine cached)."""
+        """Build tile by tile (:func:`_build_gains`): every entry equals
+        the full-matrix builders'
+        (:func:`~repro.core.interference.directed_gain_matrix` /
+        :func:`~repro.core.interference.bidirectional_gain_matrices`)
+        bitwise, but only the ``n x n`` endpoint cells are computed (on
+        coordinate-backed metrics the node x node distance matrix is
+        never built)."""
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        if instance.direction is Direction.DIRECTED:
-            gains = directed_gain_matrix(instance, powers)
-            gains.setflags(write=False)
-            backend = cls(gains, gains)
-        else:
-            gains_u, gains_v = bidirectional_gain_matrices(instance, powers)
-            gains_u.setflags(write=False)
-            gains_v.setflags(write=False)
-            backend = cls(gains_u, gains_v)
+        hosts, non_finite = _build_gains(instance, powers)
+        for host in hosts:
+            host.setflags(write=False)
+        backend = cls(hosts[0], hosts[-1])
+        backend._has_inf = non_finite
         backend._instance = instance
         backend._powers = powers
         return backend
@@ -833,34 +881,7 @@ class DenseBackend(GainBackend):
             self._instance, self._powers = instance, powers
             return
         self._ensure_capacity(n_new)
-        new_idx = np.arange(n_old, n_new)
-        all_idx = np.arange(n_new)
-        tile = DEFAULT_TILE_ROWS
-        new_inf = False
-        if instance.direction is Direction.DIRECTED:
-            targets = ((self._buf_u, instance.receivers),)
-        else:
-            targets = (
-                (self._buf_u, instance.senders),
-                (self._buf_v, instance.receivers),
-            )
-        for buf, nodes in targets:
-            # Top-right block: what the arrivals induce at existing rows.
-            for lo in range(0, n_old, tile):
-                hi = min(lo + tile, n_old)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), new_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                buf[lo:hi, n_old:n_new] = block
-            # Bottom rows: the arrivals' full rows over everyone.
-            for lo in range(n_old, n_new, tile):
-                hi = min(lo + tile, n_new)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), all_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                buf[lo:hi, :n_new] = block
+        new_inf = _fill_gains((self._buf_u, self._buf_v), instance, powers, n_old)
         gains_u = self._buf_u[:n_new, :n_new]
         gains_u.setflags(write=False)
         if self._buf_v is self._buf_u:
@@ -1073,15 +1094,6 @@ class DenseBackend(GainBackend):
         return f"DenseBackend(n={self.n}, directed={self.directed})"
 
 
-def _host_gain_targets(instance: Instance):
-    """Endpoint-node arrays to build each gain matrix from, in the same
-    order (and with the same endpoint mapping) as
-    :meth:`DenseBackend.append_requests`."""
-    if instance.direction is Direction.DIRECTED:
-        return (instance.receivers,)
-    return (instance.senders, instance.receivers)
-
-
 class ArrayBackend(GainBackend):
     """Gain storage living in any array-API namespace.
 
@@ -1150,24 +1162,12 @@ class ArrayBackend(GainBackend):
         name = resolve_array_namespace(namespace)
         xp = _import_array_namespace(name)
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        n = instance.n
-        all_idx = np.arange(n)
-        tile = DEFAULT_TILE_ROWS
-        hosts = []
-        for nodes in _host_gain_targets(instance):
-            out = np.empty((n, n))
-            for lo in range(0, n, tile):
-                hi = min(lo + tile, n)
-                out[lo:hi] = _gain_block(
-                    instance, powers, nodes, all_idx[lo:hi], all_idx
-                )
-            hosts.append(out)
-        host_u = hosts[0]
-        host_v = hosts[0] if len(hosts) == 1 else hosts[1]
+        hosts, non_finite = _build_gains(instance, powers)
         backend = cls(xp, None, None, name, device=device)
-        arr_u = backend._upload(host_u)
+        arr_u = backend._upload(hosts[0])
         backend._arr_u = arr_u
-        backend._arr_v = arr_u if host_v is host_u else backend._upload(host_v)
+        backend._arr_v = arr_u if len(hosts) == 1 else backend._upload(hosts[1])
+        backend._has_inf = non_finite
         backend._instance = instance
         backend._powers = powers
         return backend
@@ -1226,34 +1226,13 @@ class ArrayBackend(GainBackend):
         # download of the existing matrix, _gain_block tiles for the
         # appended rows/columns (the exact entries a cold rebuild would
         # compute), one upload of the grown matrix.
-        new_idx = np.arange(n_old, n_new)
-        all_idx = np.arange(n_new)
-        tile = DEFAULT_TILE_ROWS
-        new_inf = False
+        olds = (self._arr_u,) if self.directed else (self._arr_u, self._arr_v)
         hosts = []
-        olds = (
-            (self._arr_u,)
-            if self._arr_v is self._arr_u
-            else (self._arr_u, self._arr_v)
-        )
-        for nodes, old in zip(_host_gain_targets(instance), olds):
+        for old in olds:
             out = np.empty((n_new, n_new))
             out[:n_old, :n_old] = self._download(old)
-            for lo in range(0, n_old, tile):
-                hi = min(lo + tile, n_old)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), new_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                out[lo:hi, n_old:] = block
-            for lo in range(n_old, n_new, tile):
-                hi = min(lo + tile, n_new)
-                block = _gain_block(
-                    instance, powers, nodes, np.arange(lo, hi), all_idx
-                )
-                new_inf = new_inf or not bool(np.all(np.isfinite(block)))
-                out[lo:hi] = block
             hosts.append(out)
+        new_inf = _fill_gains(hosts, instance, powers, n_old)
         arr_u = self._upload(hosts[0])
         self._arr_u = arr_u
         self._arr_v = arr_u if len(hosts) == 1 else self._upload(hosts[1])
@@ -1665,8 +1644,10 @@ class SparseBackend(GainBackend):
         """Tiled CSR build for ``(instance, powers)``.
 
         Gain values are computed with the exact elementwise operations
-        of the dense builders (:func:`directed_gain_matrix` /
-        :func:`bidirectional_gain_matrices`) applied to metric blocks,
+        of the full-matrix builders
+        (:func:`~repro.core.interference.directed_gain_matrix` /
+        :func:`~repro.core.interference.bidirectional_gain_matrices`)
+        applied to metric blocks,
         so every *stored* entry is bit-identical to its dense
         counterpart.
         """

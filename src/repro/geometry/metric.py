@@ -5,16 +5,16 @@ distances.  Implementations must guarantee symmetry, non-negativity and
 zero self-distance; the triangle inequality is assumed (and can be
 verified with :func:`is_metric_matrix`).
 
-The hot path of the library works on the full ``(n, n)`` distance
-matrix, which subclasses may compute lazily and cache.  For instances
-far beyond the dense regime (the sparse gain backend of
-:mod:`repro.core.gains`), :meth:`Metric.pair_distances` and
-:meth:`Metric.distance_block` expose *tiled* access: the defaults
-gather from the cached full matrix (bit-identical, no behaviour
-change), while coordinate-backed metrics such as
-:class:`repro.geometry.euclidean.EuclideanMetric` override them to
-compute entries directly — so a block of rows never forces the O(n^2)
-matrix into memory.
+The full ``(n, n)`` distance matrix (:meth:`Metric.distance_matrix`,
+computed lazily and cached) is the reference, not the hot path: every
+gain backend of :mod:`repro.core.gains` is built from *tiled* access,
+:meth:`Metric.pair_distances` and :meth:`Metric.distance_block` (via
+:meth:`Metric.loss_block`), and only ever asks for the request
+endpoints' rows and columns.  The defaults gather from the cached full
+matrix (bit-identical, no behaviour change), while coordinate-backed
+metrics such as :class:`repro.geometry.euclidean.EuclideanMetric`
+override them to compute entries directly — so a gain build on them
+never forces the O(n^2) node x node matrix into memory.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class Metric(abc.ABC):
         Same contract as :meth:`pair_distances`: the default is a
         gather from the cached matrix, coordinate-backed metrics
         compute the block directly with bit-identical entries.  This is
-        the primitive the tiled sparse gain build
-        (:class:`repro.core.gains.SparseBackend`) iterates over.
+        the primitive every tiled gain build of
+        :mod:`repro.core.gains` iterates over.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)

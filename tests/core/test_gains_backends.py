@@ -34,7 +34,12 @@ from repro.core.gains import (
     set_default_backend,
 )
 from repro.core.instance import Direction, Instance
+from repro.core.interference import (
+    bidirectional_gain_matrices,
+    directed_gain_matrix,
+)
 from repro.geometry.euclidean import EuclideanMetric
+from repro.geometry.explicit import ExplicitMetric
 from repro.geometry.line import LineMetric
 from repro.instances.random_instances import (
     clustered_instance,
@@ -411,15 +416,90 @@ class TestTiledMetricAccess:
         ]
         np.testing.assert_array_equal(instance.link_distances, expected)
 
-    def test_sparse_build_never_builds_distance_matrix(self):
-        """The tiled CSR build must not materialize the metric's full
-        matrix (that is the whole point at n >> 10^3)."""
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "array"])
+    def test_sparse_build_never_builds_distance_matrix(self, backend):
+        """Every tiled build (dense, array and the CSR build) must not
+        materialize the metric's full matrix: only the request cells
+        are needed, and at n >> 10^3 the node x node matrix dominates
+        both time and memory."""
         instance = random_uniform_instance(32, rng=12, direction="directed")
         powers = SquareRootPower()(instance)
         assert instance.metric._matrix_cache is None
-        backend = build_backend(instance, powers, backend="sparse")
-        backend.class_sum_u(None)
+        built = build_backend(instance, powers, backend=backend)
+        built.class_sum_u(None)
         assert instance.metric._matrix_cache is None
+
+
+def _dense_build_grid():
+    """GRID plus the two other ``distance_block`` paths: a
+    9-dimensional Euclidean metric (the ``(r, c, d)`` broadcast branch)
+    and an :class:`ExplicitMetric` (the default gather from the cached
+    matrix)."""
+    cases = dict(GRID)
+    rng = np.random.default_rng(17)
+    metrics = {
+        "euclid9": EuclideanMetric(rng.uniform(0, 10, size=(30, 9))),
+        "explicit": ExplicitMetric(
+            EuclideanMetric(rng.uniform(0, 10, size=(30, 2))).distance_matrix()
+        ),
+    }
+    for direction in (Direction.DIRECTED, Direction.BIDIRECTIONAL):
+        for tag, metric in metrics.items():
+            inst = Instance(
+                metric, np.arange(0, 30, 2), np.arange(1, 30, 2), direction=direction
+            )
+            cases[f"{tag}-{direction.value[:3]}"] = (inst, SquareRootPower()(inst))
+    return cases
+
+
+DENSE_BUILD_GRID = _dense_build_grid()
+
+
+def _full_matrix_gains(instance, powers):
+    if instance.direction is Direction.DIRECTED:
+        gains = directed_gain_matrix(instance, powers)
+        return gains, gains
+    return bidirectional_gain_matrices(instance, powers)
+
+
+class TestTiledDenseBuild:
+    """The dense backend is built by ``_gain_block`` tiles; every entry
+    must equal the full-matrix builders' bitwise, for one tile and for
+    many (tile rows patched small), cold and grown."""
+
+    @pytest.mark.parametrize("tile_rows", [gains.DEFAULT_TILE_ROWS, 4])
+    @pytest.mark.parametrize("name", sorted(DENSE_BUILD_GRID))
+    def test_build_matches_full_matrix_builders(self, name, tile_rows, monkeypatch):
+        monkeypatch.setattr(gains, "DEFAULT_TILE_ROWS", tile_rows)
+        instance, powers = DENSE_BUILD_GRID[name]
+        backend = DenseBackend.build(instance, powers)
+        ref_u, ref_v = _full_matrix_gains(instance, powers)
+        np.testing.assert_array_equal(backend.gains_u, ref_u)
+        np.testing.assert_array_equal(backend.gains_v, ref_v)
+        assert (backend.gains_v is backend.gains_u) == (
+            instance.direction is Direction.DIRECTED
+        )
+        assert backend.has_infinite_gains == (
+            not (np.all(np.isfinite(ref_u)) and np.all(np.isfinite(ref_v)))
+        )
+
+    @pytest.mark.parametrize("name", sorted(DENSE_BUILD_GRID))
+    def test_append_matches_full_matrix_builders(self, name, monkeypatch):
+        monkeypatch.setattr(gains, "DEFAULT_TILE_ROWS", 3)
+        instance, powers = DENSE_BUILD_GRID[name]
+        k = max(1, instance.n // 3)
+        prefix = Instance(
+            instance.metric,
+            instance.senders[:k],
+            instance.receivers[:k],
+            direction=instance.direction,
+            alpha=instance.alpha,
+        )
+        backend = DenseBackend.build(prefix, powers[:k])
+        backend.append_requests(instance, powers)
+        ref_u, ref_v = _full_matrix_gains(instance, powers)
+        np.testing.assert_array_equal(backend.gains_u, ref_u)
+        np.testing.assert_array_equal(backend.gains_v, ref_v)
 
 
 class TestBackendSelection:
