@@ -54,8 +54,11 @@ n=16384 stores under 1% of the entries inside ~530 MB of RSS, but its
 wall time does **not** meet the 25% budget.  The dense reference is
 built by tiles and never computes the node x node distance matrix, so
 dense first-fit at n=4096 takes ~1 s and ~350 MB; the budget is then
-~4 s, while the sparse run takes ~24 s, most of it in the ε-prune
-(full-row sort and gathers) of the sparse build.  sqrt_coloring runs at
+~4.5 s.  The sparse run took ~24 s when the artifact was made, most of
+it in an ε-prune that sorted whole rows; with the top-k selection prune
+it takes ~17.5 s on the same 2-vCPU VM (26.5 s with the sort), still
+over budget, most of it the O(n^2) tile fill and prune of the sparse
+build.  sqrt_coloring runs at
 n=8192 in ~18 s against the 343 s compacting-peel seed (~20x, same
 schedule), and at n=32768 in ~1 GB RSS.
 """

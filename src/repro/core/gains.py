@@ -1422,6 +1422,18 @@ class ArrayBackend(GainBackend):
         )
 
 
+#: Candidates per row the ε-prune selects first (``np.argpartition``
+#: top-k).  At n=8192 and ε=0.05 a row keeps ~105 entries, so nearly
+#: every row settles in the first round.
+_PRUNE_START_K = 256
+#: Candidate growth factor for rows not settled within k; the last
+#: round sorts the whole row.
+_PRUNE_K_GROWTH = 8
+#: Twice the float64 unit roundoff: ``m * _ROUNDOFF2`` bounds the
+#: relative error of any order of summing ``m`` non-negative terms.
+_ROUNDOFF2 = 2.0**-52
+
+
 def _prune_tile(
     tile: np.ndarray, epsilon: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1429,55 +1441,67 @@ def _prune_tile(
 
     Returns ``(keep, pruned_mass)``: a boolean mask of entries to store
     (every ``inf`` entry is always kept, exact zeros never are) and a
-    conservative per-row upper bound on the finite mass dropped.  The
-    rule drops the *smallest* finite entries of each row whose
-    cumulative sum stays within ``epsilon`` times the row's total
-    finite mass, so the bound is as tight as a sorted greedy allows.
+    per-row upper bound on the finite mass dropped.  The rule drops the
+    *smallest* finite positive entries of a row while their mass stays
+    within ``epsilon`` times the row's finite mass ``T`` — equivalently,
+    it keeps the fewest largest entries whose float64 running sum
+    ``S_j`` (largest first) reaches ``(1 - epsilon) * T`` plus a
+    rounding slack of ``(n_cols + 2) * 2**-52 * T``.  The slack covers
+    the summation error of ``S_j`` and ``T``, so the exact dropped mass
+    never exceeds the budget.
+
+    Only the kept entries need an order: each row's top-``k`` candidates
+    come from ``np.argpartition`` (O(n_cols) per row) and only those are
+    sorted.  Rows whose running sum does not reach the target within
+    ``k`` candidates retry with ``k`` grown by :data:`_PRUNE_K_GROWTH`;
+    the last round sorts the whole row.  Every decision depends on its
+    row alone, so any split of the rows into tiles or shards stores the
+    same entries (which of several equal values at the boundary is kept
+    is deterministic, and the mass is the same either way).
+
+    ``pruned_mass`` is the float64 sum of the dropped entries, widened
+    by ``1 + (n_cols + 2) * 2**-52`` so it bounds the exact dropped
+    mass from above whatever order the sum ran in.
     """
     finite = np.isfinite(tile)
-    positive = tile > 0
-    eligible = finite & positive
     if epsilon <= 0.0:
-        return eligible | ~finite, np.zeros(tile.shape[0])
-    # Sort each row's eligible values ascending (ineligible entries sort
-    # last as +inf) and drop the longest prefix within the mass budget.
-    # The ordering and the cumulative mass run in float32 — the sort is
-    # the build's hottest pass and halves its memory traffic — which is
-    # sound because the *rule* (which smallest entries to drop) is ours
-    # to define: stored entries stay exact float64, and the recorded
-    # per-row bound below is widened past the worst-case float32
-    # accumulation error so it remains a true upper bound on the exact
-    # dropped mass.  Ties among equal values may drop in either order
-    # (identical mass either way); the result is deterministic for a
-    # given tile.
-    vals = np.where(eligible, tile, np.inf).astype(np.float32)
-    order = np.argsort(vals, axis=1)
-    svals = np.take_along_axis(vals, order, axis=1)
-    sfinite = np.isfinite(svals)
-    csum = np.cumsum(np.where(sfinite, svals, np.float32(0.0)), axis=1)
-    # Keep the budget slightly conservative so float32 rounding cannot
-    # push the dropped mass past epsilon times the true row mass.
-    budget = np.float32(epsilon * (1.0 - 1e-3)) * csum[:, -1]
-    drop_count = np.count_nonzero(sfinite & (csum <= budget[:, None]), axis=1)
-    pruned = np.where(
-        drop_count > 0,
-        np.take_along_axis(
-            csum, np.maximum(drop_count - 1, 0)[:, None], axis=1
-        )[:, 0].astype(float),
-        0.0,
-    )
-    # Widen the recorded bound past the sequential-float32-cumsum
-    # worst case (~n * eps32 relative), plus an absolute term covering
-    # float64 values that underflow to 0 in float32 (each < 1.2e-38),
-    # so it upper-bounds the exact float64 dropped mass.
-    n_cols = np.float64(tile.shape[1])
-    pruned = pruned * (1.0 + n_cols * 1.2e-7 + 1e-9) + np.where(
-        drop_count > 0, n_cols * 1.2e-38, 0.0
-    )
-    drop_sorted = np.arange(tile.shape[1])[None, :] < drop_count[:, None]
-    drop = np.zeros(tile.shape, dtype=bool)
-    np.put_along_axis(drop, order, drop_sorted, axis=1)
-    return (eligible & ~drop) | ~finite, pruned
+        return (finite & (tile > 0)) | ~finite, np.zeros(tile.shape[0])
+    n_cols = tile.shape[1]
+    # The tile with non-finite entries zeroed (copied only if there are
+    # any); zeros never enter the kept set below.
+    vals = tile if finite.all() else np.where(finite & (tile > 0), tile, 0.0)
+    total = vals.sum(axis=1)
+    slack = (n_cols + 2) * _ROUNDOFF2
+    target = total * (1.0 - epsilon + slack)
+    keep = np.zeros(tile.shape, dtype=bool)
+    todo = np.flatnonzero(total > 0)
+    k = _PRUNE_START_K
+    while todo.size:
+        k = min(k, n_cols)
+        sub = vals if todo.size == vals.shape[0] else vals[todo]
+        if k == n_cols:
+            cand = np.argsort(sub, axis=1)
+        else:
+            cand = np.argpartition(sub, n_cols - k, axis=1)[:, n_cols - k :]
+        cval = np.take_along_axis(sub, cand, axis=1)
+        order = np.argsort(cval, axis=1)[:, ::-1]
+        cand = np.take_along_axis(cand, order, axis=1)
+        cval = np.take_along_axis(cval, order, axis=1)
+        short = np.count_nonzero(
+            np.cumsum(cval, axis=1) < target[todo, None], axis=1
+        )
+        # Settled: the target was reached, or the candidates already
+        # hold every positive entry of the row (its smallest is a zero;
+        # a row whose budget is below the rounding slack keeps them all).
+        settled = (short < k) | (cval[:, -1] == 0) | (k == n_cols)
+        rows = todo[settled]
+        keep[rows[:, None], cand[settled]] = (
+            np.arange(k) <= short[settled, None]
+        ) & (cval[settled] > 0)
+        todo = todo[~settled]
+        k *= _PRUNE_K_GROWTH
+    pruned = vals.sum(axis=1, where=~keep) * (1.0 + slack)
+    return keep | ~finite, pruned
 
 
 def _assemble_csr(

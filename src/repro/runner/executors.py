@@ -94,7 +94,8 @@ class ShardExecutor(abc.ABC):
         """Build one actor per worker from ``factory(payload)``.
 
         ``len(payloads)`` must equal :attr:`workers`.  May only be
-        called once per executor.
+        called once per executor.  Process implementations overlap the
+        workers' builds.
         """
 
     @abc.abstractmethod
@@ -223,6 +224,10 @@ class ProcessShardExecutor(ShardExecutor):
     Workers are started with the ``spawn`` method (clean interpreter,
     honest per-worker memory accounting — no copy-on-write pages shared
     with the parent) as daemons (they can never outlive the parent).
+    :meth:`start` launches every worker before waiting on any build
+    handshake, so the W actor builds run concurrently, as the calls of
+    :meth:`scatter` do; a worker that dies while building is reaped and
+    relaunched under the same policy.
     A *transport* failure on a call — the pipe breaks because the
     worker crashed or was killed — deterministically rebuilds the actor
     from its original ``(factory, payload)`` and replays the call,
@@ -264,7 +269,9 @@ class ProcessShardExecutor(ShardExecutor):
 
     # -- lifecycle -----------------------------------------------------
 
-    def _spawn(self, worker: int) -> None:
+    def _launch(self, worker: int) -> None:
+        """Start worker ``worker``'s process; its actor builds in the
+        background until :meth:`_handshake` collects the result."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pipe_worker_main,
@@ -276,18 +283,32 @@ class ProcessShardExecutor(ShardExecutor):
         child_conn.close()
         self._conns[worker] = parent_conn
         self._procs[worker] = proc
-        # Build handshake: surfaces pickling/build errors eagerly and
-        # guarantees the actor exists before the first real call.
+
+    def _handshake(self, worker: int) -> None:
+        """Wait for a launched worker's build: surfaces pickling/build
+        errors eagerly and guarantees the actor exists before the first
+        real call."""
         status = self._recv(worker)
         if status[0] != "ok":
             raise ShardExecutorError(
                 f"worker {worker} failed to build its actor: "
-                f"{status[1]}: {status[2]}"
+                f"{status[1]}: {status[2]}",
+                failure=ShardFailure(
+                    key="__build__",
+                    shard_index=worker,
+                    seed=None,
+                    error_type=status[1],
+                    error=status[2],
+                    attempts=1,
+                ),
             )
 
     def start(
         self, factory: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> None:
+        """Launch every worker first, then collect the build handshakes
+        in worker order, so the W actor builds overlap.  A failed start
+        closes the executor: no worker outlives it."""
         if self._factory is not None:
             raise RuntimeError("executor already started")
         if len(payloads) != self._workers:
@@ -299,19 +320,34 @@ class ProcessShardExecutor(ShardExecutor):
         self._payloads = list(payloads)
         self._conns = [None] * self._workers
         self._procs = [None] * self._workers
-        for worker in range(self._workers):
-            self._spawn_with_retry(worker)
+        try:
+            for worker in range(self._workers):
+                try:
+                    self._launch(worker)
+                except _TRANSPORT_ERRORS:
+                    pass  # relaunched under the retry policy below
+            for worker in range(self._workers):
+                self._spawn_with_retry(
+                    worker, launched=self._procs[worker] is not None
+                )
+        except BaseException:
+            self.close()
+            raise
 
-    def _spawn_with_retry(self, worker: int) -> None:
+    def _spawn_with_retry(self, worker: int, launched: bool = False) -> None:
         """Bootstrap a worker under the retry policy: a worker that
         dies while *building* (e.g. OOM-killed mid-construction) is
-        retried like any other transport failure; deterministic build
-        errors surface immediately."""
+        reaped and relaunched like any other transport failure;
+        deterministic build errors surface immediately.  With
+        *launched*, the first attempt's process is already running."""
         policy = self._retry
         failures = 0
         while True:
             try:
-                self._spawn(worker)
+                if not launched:
+                    self._launch(worker)
+                launched = False
+                self._handshake(worker)
                 return
             except _TRANSPORT_ERRORS as exc:
                 failures += 1
@@ -382,7 +418,8 @@ class ProcessShardExecutor(ShardExecutor):
 
     def _ensure_alive(self, worker: int) -> None:
         if self._conns[worker] is None:
-            self._spawn(worker)
+            self._launch(worker)
+            self._handshake(worker)
 
     def _attempt(self, worker: int, method: str, args: Tuple[Any, ...]) -> Any:
         """One send/recv attempt; raises a transport error on a dead

@@ -53,7 +53,9 @@ the artifact's ``shards`` section.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -148,11 +150,31 @@ def run_shard(
     return table, time.perf_counter() - start
 
 
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
 def _init_worker(sys_path: List[str]) -> None:
-    """Reproduce the parent's import path in spawned workers."""
+    """Reproduce the parent's import path in spawned workers, and start
+    a watchdog that exits the worker once its parent dies: a SIGKILLed
+    orchestrator never shuts its pool down, and idle workers would
+    otherwise wait on the pool's queue forever."""
     for entry in sys_path:
         if entry not in sys.path:
             sys.path.append(entry)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        daemon=True,
+        name="repro-parent-watchdog",
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this process once it is re-parented (its parent died)."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 @dataclass

@@ -16,10 +16,15 @@ Contracts under test (see :mod:`repro.core.gains`):
   behaves as documented.
 """
 
+import math
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
@@ -375,6 +380,71 @@ class TestPrunedBackend:
         )
         assert explicit is pruned
         assert len(pool) == 2
+
+
+#: Gain-tile entries: exact zeros, infinite (shared-node) gains, a few
+#: repeated values (ties at the keep/drop boundary) and spread floats.
+_tile_entries = st.one_of(
+    st.just(0.0),
+    st.just(math.inf),
+    st.sampled_from([0.25, 1.0, 3.0]),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+
+
+@st.composite
+def _prune_cases(draw):
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 24)))
+    tile = draw(hnp.arrays(np.float64, shape, elements=_tile_entries))
+    epsilon = draw(st.floats(min_value=0.0, max_value=0.5))
+    # Small starting candidate counts drive the grow-and-retry rounds
+    # and the full-sort fallback on these narrow tiles.
+    start_k = draw(st.sampled_from([1, 2, 5, gains._PRUNE_START_K]))
+    return tile, epsilon, start_k
+
+
+class TestPruneTile:
+    """Properties of the per-row ε-prune rule (:func:`gains._prune_tile`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_prune_cases())
+    def test_prune_rule(self, case):
+        tile, epsilon, start_k = case
+        with mock.patch.object(gains, "_PRUNE_START_K", start_k):
+            keep, pruned = gains._prune_tile(tile, epsilon)
+            # Each row is decided alone: pruning a row by itself gives
+            # the same mask and bound bit for bit.
+            for r in range(tile.shape[0]):
+                keep_r, pruned_r = gains._prune_tile(tile[r : r + 1], epsilon)
+                np.testing.assert_array_equal(keep_r[0], keep[r])
+                assert pruned_r[0] == pruned[r]
+        assert np.all(keep[np.isinf(tile)])
+        assert not np.any(keep[tile == 0.0])
+        # Rounding margin of the float64 sums behind the decision.
+        margin = 2 * (tile.shape[1] + 2) * 2.0**-52
+        for r, row in enumerate(tile):
+            finite = np.isfinite(row) & (row > 0)
+            kept = np.sort(row[finite & keep[r]])
+            dropped = row[finite & ~keep[r]]
+            mass = math.fsum(row[finite])
+            dropped_mass = math.fsum(dropped)
+            assert dropped_mass <= epsilon * mass
+            assert pruned[r] >= dropped_mass
+            if kept.size:
+                # The smallest entries go first...
+                assert dropped.size == 0 or dropped.max() <= kept[0]
+                # ...and no more are kept than the budget needs.
+                assert math.fsum([dropped_mass, kept[0]]) > (
+                    epsilon - margin
+                ) * mass
+
+    def test_bound_is_exact_sum_widened(self):
+        tile = np.array([[1.0, 2.0, 4.0, 100.0, 0.0, np.inf]])
+        keep, pruned = gains._prune_tile(tile, 0.05)
+        np.testing.assert_array_equal(
+            keep, [[False, False, True, True, False, True]]
+        )
+        assert 3.0 <= pruned[0] <= 3.0 * (1 + 1e-12)
 
 
 class TestTiledMetricAccess:

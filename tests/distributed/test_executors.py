@@ -1,7 +1,10 @@
 """Unit tests for the ShardExecutor abstraction (serial + process)."""
 
+import multiprocessing
 import os
+import pathlib
 import signal
+import time
 
 import pytest
 
@@ -40,6 +43,54 @@ def _counter_factory(payload):
 
 def _bad_factory(payload):
     raise ValueError(f"bad shard payload: {payload!r}")
+
+
+class Sleeper(Counter):
+    """Counter whose build sleeps, recording when it ran."""
+
+    def __init__(self, payload):
+        seconds, base = payload
+        start = time.time()
+        time.sleep(seconds)
+        super().__init__(base)
+        self.window = (start, time.time())
+
+    def build_window(self):
+        return self.window
+
+
+def _sleepy_factory(payload):
+    return Sleeper(payload)
+
+
+def _die_once_factory(payload):
+    """Kill the building process the first time a marker path is seen."""
+    marker, base = payload
+    if marker is not None and not os.path.exists(marker):
+        pathlib.Path(marker).touch()
+        os._exit(3)
+    return Counter(base)
+
+
+def _always_die_factory(payload):
+    os._exit(3)
+
+
+def _fail_first_factory(payload):
+    """Worker 0's build raises; the others build slowly."""
+    worker, seconds = payload
+    if worker == 0:
+        raise ValueError("bad shard payload for worker 0")
+    time.sleep(seconds)
+    return Counter(worker)
+
+
+def _live_shard_children():
+    return [
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-shard-")
+    ]
 
 
 class _Unpicklable:
@@ -178,3 +229,52 @@ class TestProcessExecutor:
                 os.kill(pid, 0)
         with pytest.raises(RuntimeError, match="closed"):
             ex.call(0, "add", 1)
+
+
+class TestProcessExecutorStart:
+    def test_builds_overlap(self):
+        def timed_start(workers):
+            with ProcessShardExecutor(workers) as ex:
+                t0 = time.perf_counter()
+                ex.start(_sleepy_factory, [(1.0, k) for k in range(workers)])
+                elapsed = time.perf_counter() - t0
+                return elapsed, ex.broadcast("build_window")
+
+        one, _ = timed_start(1)
+        two, windows = timed_start(2)
+        (start0, end0), (start1, end1) = windows
+        # Both actors were building at the same time, and starting two
+        # took well under two back-to-back one-worker starts.
+        assert max(start0, start1) < min(end0, end1)
+        assert two < 1.5 * one, (one, two)
+
+    def test_worker_dying_mid_build_is_respawned(self, tmp_path):
+        marker = tmp_path / "worker-1-died"
+        with ProcessShardExecutor(2) as ex:
+            ex.start(_die_once_factory, [(None, 10), (str(marker), 20)])
+            assert marker.exists()  # the first build attempt did die
+            assert ex.broadcast("add", 1) == [11, 21]
+            pids = ex.broadcast("pid")
+            assert pids == ex.worker_pids()
+
+    def test_build_deaths_exhaust_the_retry_budget(self):
+        retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+        ex = ProcessShardExecutor(2, retry=retry)
+        with pytest.raises(ShardExecutorError, match="died while building") as info:
+            ex.start(_always_die_factory, [0, 1])
+        assert info.value.failure.shard_index == 0
+        assert info.value.failure.attempts == 2
+        assert _live_shard_children() == []
+
+    def test_build_error_names_worker_and_leaves_no_child(self):
+        ex = ProcessShardExecutor(2)
+        t0 = time.perf_counter()
+        with pytest.raises(ShardExecutorError, match="worker 0 failed to build") as info:
+            # Worker 1 would build for a minute: the failed start must
+            # kill it rather than wait for it.
+            ex.start(_fail_first_factory, [(0, 0.0), (1, 60.0)])
+        assert time.perf_counter() - t0 < 30.0
+        assert info.value.failure.shard_index == 0
+        assert info.value.failure.error_type == "ValueError"
+        assert _live_shard_children() == []
+        assert ex.worker_pids() == [-1, -1]

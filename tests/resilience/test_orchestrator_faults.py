@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -31,6 +32,19 @@ from repro.runner import (
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 NO_DELAY = dict(base_delay=0.0)
+
+
+def _pids_with_arg(arg):
+    """Live processes whose command line contains *arg* (Linux /proc)."""
+    pids = []
+    for entry in pathlib.Path("/proc").glob("[0-9]*"):
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+        except OSError:
+            continue  # exited while scanning
+        if arg.encode() in argv:
+            pids.append(int(entry.name))
+    return pids
 
 
 def normalized(report_or_payload):
@@ -430,6 +444,12 @@ class TestSigkillResume:
             timeout=300,
         )
         assert proc.returncode == FAULT_KILL_EXIT == -signal.SIGKILL
+        # The killed driver's pool workers (forked, so their command
+        # line still names tmp_path) exit on their own once orphaned.
+        deadline = time.monotonic() + 5.0
+        while _pids_with_arg(str(tmp_path)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _pids_with_arg(str(tmp_path)) == []
         assert checkpoint_path(tmp_path, "e1", 0).is_file()
         assert not (tmp_path / "BENCH_e1.json").exists()
 
