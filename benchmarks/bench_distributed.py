@@ -92,28 +92,23 @@ def _sharded_first_fit(
     tuned backend (tile_rows is a build knob, not a context key — it
     never changes bits)."""
     from repro.core.context import InterferenceContext
+    from repro.core.gains import BackendConfig
     from repro.core.kernels import first_fit_colors_sharded
     from repro.distributed import ShardedBackend
 
+    config = BackendConfig(
+        "sharded",
+        epsilon=epsilon,
+        shard_workers=workers,
+        shard_executor=executor,
+    )
     build_start = time.perf_counter()
     backend = ShardedBackend.build(
-        instance,
-        powers,
-        epsilon=epsilon,
-        workers=workers,
-        executor=executor,
-        tile_rows=tile_rows,
+        instance, powers, config, tile_rows=tile_rows
     )
     build_seconds = time.perf_counter() - build_start
     try:
-        context = InterferenceContext(
-            instance,
-            powers,
-            backend="sharded",
-            sparse_epsilon=epsilon,
-            shard_workers=workers,
-            shard_executor=executor,
-        )
+        context = InterferenceContext(instance, powers, config=config)
         context._backend = backend
         order = np.argsort(-instance.link_distances, kind="stable")
         limits = context.budgets() * (1.0 + 1e-9)
@@ -140,11 +135,11 @@ def _sharded_first_fit(
 
 
 def _dense_first_fit(instance, powers):
-    from repro.core.gains import backend_scope
+    from repro.core.gains import BackendConfig, use_backend
     from repro.scheduling.firstfit import first_fit_schedule
 
     start = time.perf_counter()
-    with backend_scope("dense"):
+    with use_backend(BackendConfig("dense")):
         schedule = first_fit_schedule(instance, powers)
     return {
         "seconds": time.perf_counter() - start,

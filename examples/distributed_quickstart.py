@@ -16,7 +16,12 @@ import sys
 
 import numpy as np
 
-from repro import Problem, distributed_protocol, random_uniform_instance
+from repro import (
+    BackendConfig,
+    Problem,
+    distributed_protocol,
+    random_uniform_instance,
+)
 from repro.distributed import ShardedBackend, shard_bounds
 from repro.power.oblivious import SquareRootPower
 
@@ -54,7 +59,9 @@ def main(seed: int = 0) -> None:
     # the in-flight call replayed, bit-identical to a run that never
     # failed.
     backend = ShardedBackend.build(
-        instance, powers, epsilon=0.0, workers=2, executor="process"
+        instance,
+        powers,
+        BackendConfig("sharded", shard_workers=2, shard_executor="process"),
     )
     try:
         health = backend.worker_health()

@@ -68,6 +68,7 @@ from repro.analysis import (
     verify_schedule,
 )
 from repro.core import (
+    BackendConfig,
     ClassAccumulator,
     ContextBatch,
     ContextPool,
@@ -83,15 +84,14 @@ from repro.core import (
     Schedule,
     ScheduleKernel,
     SparseBackend,
-    backend_scope,
+    backend_config,
     batch_margins,
     batch_validate_schedules,
     build_schedule,
-    default_backend,
     get_context,
     peel_max_feasible_subset,
-    set_default_backend,
     stacked_first_fit,
+    use_backend,
     is_feasible_partition,
     is_feasible_subset,
     scale_powers_for_noise,
@@ -194,6 +194,9 @@ __all__ = [
     "batch_margins",
     "batch_validate_schedules",
     "get_context",
+    "BackendConfig",
+    "backend_config",
+    "use_backend",
     "ScheduleKernel",
     "build_schedule",
     "peel_max_feasible_subset",

@@ -105,7 +105,7 @@ def total_affectance(
     """
     powers = np.asarray(powers, dtype=float)
     context = get_context(instance, powers)
-    if context.backend_name != "dense":
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         idx = (
             np.arange(instance.n)
@@ -135,7 +135,7 @@ def max_average_affectance(
         return 0.0
     powers = np.asarray(powers, dtype=float)
     context = get_context(instance, powers)
-    if context.backend_name != "dense":
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         totals = _blockwise_row_affectance(
             context, np.arange(instance.n), beta_val, capped=True
@@ -162,7 +162,7 @@ def fixed_power_conflict_bound(
     """
     powers = np.asarray(powers, dtype=float)
     context = get_context(instance, powers)
-    if context.backend_name != "dense":
+    if context.config.backend != "dense":
         beta_val = instance.beta if beta is None else float(beta)
         return _blockwise_conflict_bound(context, beta_val)
     matrix = affectance_matrix(instance, powers, beta=beta, capped=False)

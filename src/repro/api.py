@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,19 +57,7 @@ from repro.core.context import (
     unpin_context,
 )
 from repro.core.errors import InvalidInstanceError, InvalidScheduleError
-from repro.core.gains import (
-    array_namespace_scope,
-    backend_scope,
-    default_sparse_epsilon,
-    resolve_array_namespace,
-    resolve_backend,
-    resolve_shard_executor,
-    resolve_shard_workers,
-    resolve_sparse_epsilon,
-    set_sparse_epsilon,
-    shard_executor_scope,
-    shard_workers_scope,
-)
+from repro.core.gains import BackendConfig, backend_config, use_backend
 from repro.core.instance import Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
@@ -269,21 +256,19 @@ class Problem:
         ``needs_powers=False``) ignore it and emit their own powers.
     backend, sparse_epsilon:
         Gain-backend preference for every context the problem's
-        sessions create (``None`` follows the process defaults, see
-        :mod:`repro.core.gains`).  Validated eagerly so a typo fails at
-        construction, not deep inside ``get_context``.
+        sessions create.
     array_namespace, device:
-        Array-API namespace and device for ``backend="array"``
-        (``None`` follows :func:`~repro.core.gains.default_array_namespace`
-        / the namespace's default device).  *device* applies to the
-        contexts the session and batch own; context fetches issued
-        inside algorithm implementations resolve the namespace but use
-        its default device.
+        Array-API namespace and device for ``backend="array"``.
     workers, shard_executor:
         Shard worker count and executor name (``"serial"``/
-        ``"process"``) for ``backend="sharded"`` (``None`` follows
-        :func:`~repro.core.gains.default_shard_workers` /
-        :func:`~repro.core.gains.default_shard_executor`).
+        ``"process"``) for ``backend="sharded"``.
+
+    The keywords override the ambient
+    :func:`~repro.core.gains.backend_config` at construction (``None``
+    keeps its value) and are validated there, so a typo fails at once,
+    not deep inside ``get_context``.  The result is :attr:`config`, the
+    one :class:`~repro.core.gains.BackendConfig` every context the
+    problem's sessions build — and every algorithm run — uses.
     """
 
     instance: Instance
@@ -294,22 +279,23 @@ class Problem:
     device: Optional[object] = None
     workers: Optional[int] = None
     shard_executor: Optional[str] = None
+    config: BackendConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        backend_name = resolve_backend(self.backend)
-        if self.sparse_epsilon is not None:
-            resolve_sparse_epsilon(self.sparse_epsilon)
-        if self.array_namespace is not None:
-            resolve_array_namespace(self.array_namespace)
+        self.config = backend_config().override(
+            backend=self.backend,
+            epsilon=self.sparse_epsilon,
+            array_namespace=self.array_namespace,
+            device=self.device,
+            shard_workers=self.workers,
+            shard_executor=self.shard_executor,
+        )
+        backend_name = self.config.backend
         if self.device is not None and backend_name != "array":
             raise ValueError(
                 "device= requires backend='array' "
                 f"(got backend={backend_name!r})"
             )
-        if self.workers is not None:
-            resolve_shard_workers(self.workers)
-        if self.shard_executor is not None:
-            resolve_shard_executor(self.shard_executor)
         if (
             self.workers is not None or self.shard_executor is not None
         ) and backend_name != "sharded":
@@ -317,6 +303,13 @@ class Problem:
                 "workers=/shard_executor= require backend='sharded' "
                 f"(got backend={backend_name!r})"
             )
+
+    def _grown(self, instance: Instance, powers: PowersLike) -> "Problem":
+        """This problem over a new instance, keeping :attr:`config`
+        (re-resolving the ambient default could change it)."""
+        grown = dataclasses.replace(self, instance=instance, powers=powers)
+        grown.config = self.config
+        return grown
 
     def session(self) -> "Session":
         """A fresh :class:`Session` for this problem."""
@@ -333,33 +326,6 @@ def _resolve_powers(
     if isinstance(powers, PowerAssignment):
         return np.asarray(powers(instance), dtype=float), powers
     return np.asarray(powers, dtype=float), None
-
-
-@contextmanager
-def _preference_scope(
-    backend: Optional[str],
-    sparse_epsilon: Optional[float],
-    array_namespace: Optional[str] = None,
-    shard_workers: Optional[int] = None,
-    shard_executor: Optional[str] = None,
-) -> Iterator[None]:
-    """Make a problem's backend preferences the process defaults for
-    the duration of an algorithm run, so every ``get_context`` the
-    implementation issues resolves to the session's own context."""
-    with backend_scope(backend), array_namespace_scope(
-        array_namespace
-    ), shard_workers_scope(shard_workers), shard_executor_scope(
-        shard_executor
-    ):
-        if sparse_epsilon is None:
-            yield
-        else:
-            previous = default_sparse_epsilon()
-            set_sparse_epsilon(sparse_epsilon)
-            try:
-                yield
-            finally:
-                set_sparse_epsilon(previous)
 
 
 class Session:
@@ -461,14 +427,7 @@ class Session:
         """
         if self._context is None:
             self._context = get_context(
-                self.problem.instance,
-                self._powers,
-                backend=self.problem.backend,
-                sparse_epsilon=self.problem.sparse_epsilon,
-                array_namespace=self.problem.array_namespace,
-                device=self.problem.device,
-                shard_workers=self.problem.workers,
-                shard_executor=self.problem.shard_executor,
+                self.problem.instance, self._powers, config=self.problem.config
             )
         return self._context
 
@@ -605,9 +564,7 @@ class Session:
         # historical full invalidation: drop the context (and kernel)
         # and rebuild cold on next use.
         grow_in_place = np.array_equal(resolved[:n_old], self._powers)
-        self.problem = dataclasses.replace(
-            self.problem, instance=new_instance, powers=new_powers
-        )
+        self.problem = self.problem._grown(new_instance, new_powers)
         self._powers, self._assignment = resolved, assignment
         if grow_in_place and self._context is not None:
             # The context cache keys on (id(instance), power bytes) —
@@ -696,9 +653,7 @@ class Session:
                 new_powers: PowersLike = self._assignment
             else:
                 new_powers = self._powers[active]
-            self.problem = dataclasses.replace(
-                self.problem, instance=new_instance, powers=new_powers
-            )
+            self.problem = self.problem._grown(new_instance, new_powers)
             self._powers, self._assignment = _resolve_powers(
                 new_instance, new_powers
             )
@@ -918,7 +873,7 @@ class Session:
                 algorithm="first_fit_online",
                 params={},
                 backend=context.backend.name,
-                sparse_epsilon=context.sparse_epsilon,
+                sparse_epsilon=context.config.epsilon,
                 wall_seconds=wall,
                 flip_risk_events=kernel.flip_risk_events,
                 certified=kernel.flip_risk_events == 0,
@@ -953,13 +908,7 @@ class Session:
         peel_before = peel_risk_events()
         fb_before = len(peel_fallback_records())
         start = time.perf_counter()
-        with recording_contexts() as used, _preference_scope(
-            self.problem.backend,
-            self.problem.sparse_epsilon,
-            self.problem.array_namespace,
-            self.problem.workers,
-            self.problem.shard_executor,
-        ):
+        with recording_contexts() as used, use_backend(self.problem.config):
             outcome = spec.run(
                 self.problem.instance,
                 powers=self._powers if spec.capabilities.needs_powers else None,
@@ -972,22 +921,17 @@ class Session:
         # own (first_fit_sharded runs on a sharded context).
         delta = sum(ctx.flip_risk_events - before for ctx, before in used)
         certified: Optional[bool] = None
-        if used:
-            backend_name = used[0][0].backend_name
-            epsilon = used[0][0].sparse_epsilon
-            if spec.capabilities.certifiable:
-                certified = delta == 0
-        else:
-            backend_name = resolve_backend(self.problem.backend)
-            epsilon = resolve_sparse_epsilon(self.problem.sparse_epsilon)
+        config = used[0][0].config if used else self.problem.config
+        if used and spec.capabilities.certifiable:
+            certified = delta == 0
         result = ScheduleResult(
             schedule=outcome.schedule,
             instance=self.problem.instance,
             provenance=Provenance(
                 algorithm=spec.name,
                 params=dict(params),
-                backend=backend_name,
-                sparse_epsilon=epsilon,
+                backend=config.backend,
+                sparse_epsilon=config.epsilon,
                 wall_seconds=wall,
                 flip_risk_events=delta,
                 certified=certified,
@@ -1009,7 +953,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Session(n={self.instance.n}, "
-            f"backend={resolve_backend(self.problem.backend)}, "
+            f"backend={self.problem.config}, "
             f"last={self._last_algorithm!r})"
         )
 
@@ -1039,10 +983,7 @@ class BatchSession:
         normalized = [
             p if isinstance(p, Problem) else Problem(p) for p in problems
         ]
-        prefs = {
-            (p.backend, p.sparse_epsilon, p.array_namespace, p.device)
-            for p in normalized
-        }
+        prefs = {p.config for p in normalized}
         if len(prefs) > 1:
             raise ValueError(
                 "all problems of a BatchSession must share backend "
@@ -1061,14 +1002,10 @@ class BatchSession:
         """The underlying :class:`~repro.core.batch.ContextBatch`
         (built lazily, contexts pinned in :attr:`pool`)."""
         if self._batch is None:
-            first = self.problems[0]
             self._batch = ContextBatch(
                 [(s.instance, s.powers) for s in self.sessions],
                 pool=self.pool,
-                backend=first.backend,
-                sparse_epsilon=first.sparse_epsilon,
-                array_namespace=first.array_namespace,
-                device=first.device,
+                config=self.problems[0].config,
             )
         return self._batch
 
@@ -1148,7 +1085,7 @@ class BatchSession:
                     algorithm=spec.name,
                     params=dict(params),
                     backend=backends[index].name,
-                    sparse_epsilon=batch.contexts[index].sparse_epsilon,
+                    sparse_epsilon=batch.contexts[index].config.epsilon,
                     wall_seconds=wall,
                     flip_risk_events=delta,
                     certified=(

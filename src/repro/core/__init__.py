@@ -22,14 +22,13 @@ from repro.core.context import (
     set_context_cache_limit,
 )
 from repro.core.gains import (
+    BackendConfig,
     DenseBackend,
     GainBackend,
     SparseBackend,
-    backend_scope,
+    backend_config,
     build_backend,
-    default_backend,
-    set_default_backend,
-    set_sparse_epsilon,
+    use_backend,
 )
 from repro.core.errors import (
     InfeasibleError,
@@ -79,11 +78,10 @@ __all__ = [
     "GainBackend",
     "DenseBackend",
     "SparseBackend",
+    "BackendConfig",
+    "backend_config",
     "build_backend",
-    "default_backend",
-    "set_default_backend",
-    "set_sparse_epsilon",
-    "backend_scope",
+    "use_backend",
     "ScheduleKernel",
     "peel_max_feasible_subset",
     "stacked_first_fit",

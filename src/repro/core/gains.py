@@ -64,14 +64,26 @@ the scheduler wrappers reads it before and after (or calls
 Selecting a backend
 -------------------
 
-The process-wide default is ``"dense"``; override it with the
-``REPRO_BACKEND`` environment variable, :func:`set_default_backend`, or
-temporarily with ``with backend_scope("sparse"): ...``.  Individual
-contexts accept an explicit ``backend=`` argument through
-:func:`repro.core.context.get_context`, and experiment specs carry a
-``backend`` field the orchestrator applies per run
-(:mod:`repro.runner`).  ``REPRO_SPARSE_EPSILON`` (or
-:func:`set_sparse_epsilon`) sets the default pruning budget.
+One frozen :class:`BackendConfig` names the backend and every setting
+it reads (ε, array namespace and device, shard workers and executor).
+The ambient default comes from the ``REPRO_BACKEND``,
+``REPRO_SPARSE_EPSILON``, ``REPRO_ARRAY_NAMESPACE``,
+``REPRO_SHARD_WORKERS`` and ``REPRO_SHARD_EXECUTOR`` environment
+variables (read once at import, :meth:`BackendConfig.from_env`);
+:func:`use_backend` replaces it for a ``with`` block and
+:func:`backend_config` reads it.  A setting the chosen backend
+ignores does not count for equality, but the configuration keeps it,
+so an environment ε applies once a ``backend="sparse"`` override
+selects a pruned storage::
+
+    with use_backend(BackendConfig("sparse", epsilon=0.05)):
+        context = get_context(instance, powers)
+
+:func:`repro.core.context.get_context`, :func:`build_backend` and
+:class:`repro.core.batch.ContextBatch` also take an explicit
+``config=``; :class:`repro.api.Problem` builds one from its keywords,
+and experiment specs carry a ``backend`` name the orchestrator applies
+per run (:mod:`repro.runner`).
 """
 
 from __future__ import annotations
@@ -79,6 +91,8 @@ from __future__ import annotations
 import abc
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -90,30 +104,14 @@ from repro.core.interference import _class_sum, _safe_divide
 __all__ = [
     "ARRAY_NAMESPACES",
     "BACKENDS",
+    "BackendConfig",
     "GainBackend",
     "ArrayBackend",
     "DenseBackend",
     "SparseBackend",
+    "backend_config",
     "build_backend",
-    "default_backend",
-    "set_default_backend",
-    "backend_scope",
-    "resolve_backend",
-    "default_sparse_epsilon",
-    "set_sparse_epsilon",
-    "resolve_sparse_epsilon",
-    "default_array_namespace",
-    "set_array_namespace",
-    "array_namespace_scope",
-    "resolve_array_namespace",
-    "default_shard_workers",
-    "set_shard_workers",
-    "shard_workers_scope",
-    "resolve_shard_workers",
-    "default_shard_executor",
-    "set_shard_executor",
-    "shard_executor_scope",
-    "resolve_shard_executor",
+    "use_backend",
     "validate_growth",
 ]
 
@@ -137,52 +135,6 @@ ARRAY_NAMESPACES = ("numpy", "array_api_strict", "torch", "cupy")
 DEFAULT_TILE_ROWS = 512
 
 
-def _env_backend() -> str:
-    """Validate ``REPRO_BACKEND`` at import (load) time, listing the
-    allowed values — a typo must not survive until the first
-    ``get_context`` call."""
-    name = os.environ.get("REPRO_BACKEND", "dense").strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {BACKENDS}, got {name!r}"
-        )
-    return name
-
-
-def _env_epsilon() -> float:
-    """Validate ``REPRO_SPARSE_EPSILON`` at import (load) time."""
-    raw = os.environ.get("REPRO_SPARSE_EPSILON", "0")
-    try:
-        epsilon = float(raw)
-    except ValueError:
-        raise ValueError(
-            "REPRO_SPARSE_EPSILON must be a float in [0, 1) (the sparse "
-            f"backend's per-row pruned-mass budget), got {raw!r}"
-        ) from None
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(
-            f"REPRO_SPARSE_EPSILON must be in [0, 1), got {raw!r}"
-        )
-    return epsilon
-
-
-def _env_array_namespace() -> str:
-    """Validate ``REPRO_ARRAY_NAMESPACE`` at import (load) time, listing
-    the registered namespaces — selecting a namespace whose package is
-    missing still fails *lazily* at backend build, with an error naming
-    the install extra, because validation here must not import heavy
-    frameworks."""
-    raw = os.environ.get("REPRO_ARRAY_NAMESPACE", "numpy")
-    name = raw.strip().lower() or "numpy"
-    if name not in ARRAY_NAMESPACES:
-        raise ValueError(
-            f"REPRO_ARRAY_NAMESPACE must be one of {ARRAY_NAMESPACES} "
-            f"(the array-API namespace hosting ArrayBackend storage), "
-            f"got {raw!r}"
-        )
-    return name
-
-
 #: Registered shard-executor names (mirrors
 #: :data:`repro.runner.executors.SHARD_EXECUTORS`; duplicated here so
 #: validating a configuration never imports the runner package).
@@ -193,217 +145,238 @@ SHARD_EXECUTORS = ("serial", "process")
 MAX_SHARD_WORKERS = 256
 
 
-def _env_shard_workers() -> int:
-    """Validate ``REPRO_SHARD_WORKERS`` at import (load) time."""
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "2")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            "REPRO_SHARD_WORKERS must be an integer in "
-            f"[1, {MAX_SHARD_WORKERS}] (the sharded backend's worker "
-            f"count), got {raw!r}"
-        ) from None
-    if not 1 <= workers <= MAX_SHARD_WORKERS:
-        raise ValueError(
-            f"REPRO_SHARD_WORKERS must be in [1, {MAX_SHARD_WORKERS}], "
-            f"got {raw!r}"
-        )
-    return workers
-
-
-def _env_shard_executor() -> str:
-    """Validate ``REPRO_SHARD_EXECUTOR`` at import (load) time."""
-    raw = os.environ.get("REPRO_SHARD_EXECUTOR", "process")
-    name = raw.strip().lower() or "process"
-    if name not in SHARD_EXECUTORS:
-        raise ValueError(
-            f"REPRO_SHARD_EXECUTOR must be one of {SHARD_EXECUTORS} "
-            f"(how the sharded backend hosts its workers), got {raw!r}"
-        )
+def _choice(what: str, value: object, allowed: Tuple[str, ...]) -> str:
+    name = str(value).strip().lower()
+    if name not in allowed:
+        raise ValueError(f"{what} must be one of {allowed}, got {name!r}")
     return name
 
 
-_default_backend = _env_backend()
-_default_epsilon = _env_epsilon()
-_default_array_namespace = _env_array_namespace()
-_default_shard_workers = _env_shard_workers()
-_default_shard_executor = _env_shard_executor()
-
-
-def default_backend() -> str:
-    """The process-wide default backend name."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default backend (``"dense"``/``"sparse"``)."""
-    global _default_backend
-    _default_backend = resolve_backend(name)
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_backend
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
+def _env_choice(
+    var: str, default: str, allowed: Tuple[str, ...], role: str = ""
+) -> str:
+    """A name-valued ``REPRO_*`` variable (blank = *default*)."""
+    raw = os.environ.get(var, default)
+    name = raw.strip().lower() or default
+    if name not in allowed:
+        raise ValueError(f"{var} must be one of {allowed}{role}, got {raw!r}")
     return name
 
 
-@contextmanager
-def backend_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default backend (``None`` = leave as is)."""
-    global _default_backend
-    previous = _default_backend
-    if name is not None:
-        set_default_backend(name)
-    try:
-        yield _default_backend
-    finally:
-        _default_backend = previous
-
-
-def default_sparse_epsilon() -> float:
-    """The default per-row pruned-mass budget of sparse backends."""
-    return _default_epsilon
-
-
-def set_sparse_epsilon(epsilon: float) -> None:
-    """Set the default pruning budget (fraction of each row's finite
-    mass allowed to be dropped; ``0`` keeps every nonzero entry)."""
-    global _default_epsilon
-    _default_epsilon = resolve_sparse_epsilon(float(epsilon))
-
-
-def resolve_sparse_epsilon(epsilon: Optional[float]) -> float:
-    """Validate *epsilon*, resolving ``None`` to the current default."""
-    if epsilon is None:
-        return _default_epsilon
+def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"sparse epsilon must be in [0, 1), got {epsilon}")
     return epsilon
 
 
-def default_array_namespace() -> str:
-    """The default array-API namespace of :class:`ArrayBackend`."""
-    return _default_array_namespace
+@dataclass(frozen=True, eq=False)
+class BackendConfig:
+    """Which gain backend to build, with every setting it reads.
 
+    Equality, hashing and ``str`` look only at the settings the backend
+    reads, so two configurations that build the same backend compare
+    and hash equal (``BackendConfig("dense", epsilon=0.1) ==
+    BackendConfig()``) and the context cache keys on the configuration
+    itself; *device* counts by ``str(device)``.  The fields themselves
+    keep every value given, so an ambient ε or shard setting survives
+    until an :meth:`override` selects a backend that reads it.
 
-def set_array_namespace(name: str) -> None:
-    """Set the default array-API namespace (see :data:`ARRAY_NAMESPACES`)."""
-    global _default_array_namespace
-    _default_array_namespace = resolve_array_namespace(name)
+    backend:
+        One of :data:`BACKENDS`.
+    epsilon:
+        Per-row pruned-mass budget in ``[0, 1)`` of the ε-pruned CSR
+        storages (``"sparse"``, ``"sharded"``); ``0`` keeps every
+        nonzero entry.
+    array_namespace, device:
+        Array-API namespace (:data:`ARRAY_NAMESPACES`) and device of
+        the ``"array"`` backend (``None`` = the namespace's default).
+    shard_workers, shard_executor:
+        Worker count in ``[1, MAX_SHARD_WORKERS]`` and executor name
+        (:data:`SHARD_EXECUTORS`) of the ``"sharded"`` backend.
+    """
 
+    backend: str = "dense"
+    epsilon: float = 0.0
+    array_namespace: str = "numpy"
+    device: Optional[object] = None
+    shard_workers: int = 2
+    shard_executor: str = "process"
+    _key: Tuple[object, ...] = field(init=False, repr=False)
 
-def resolve_array_namespace(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_array_namespace
-    name = str(name).strip().lower()
-    if name not in ARRAY_NAMESPACES:
-        raise ValueError(
-            f"array namespace must be one of {ARRAY_NAMESPACES}, got {name!r}"
+    def __post_init__(self) -> None:
+        backend = _choice("backend", self.backend, BACKENDS)
+        epsilon = _check_epsilon(self.epsilon)
+        namespace = _choice(
+            "array namespace", self.array_namespace, ARRAY_NAMESPACES
         )
-    return name
+        workers = int(self.shard_workers)
+        if not 1 <= workers <= MAX_SHARD_WORKERS:
+            raise ValueError(
+                f"shard workers must be in [1, {MAX_SHARD_WORKERS}], "
+                f"got {workers}"
+            )
+        executor = _choice("shard executor", self.shard_executor, SHARD_EXECUTORS)
+        for name, value in (
+            ("backend", backend),
+            ("epsilon", epsilon),
+            ("array_namespace", namespace),
+            ("shard_workers", workers),
+            ("shard_executor", executor),
+        ):
+            object.__setattr__(self, name, value)
+        # The identity: a setting the backend ignores counts as its
+        # field default (the class attribute).
+        default = type(self)
+        array, sharded = backend == "array", backend == "sharded"
+        object.__setattr__(self, "_key", (
+            backend,
+            epsilon if self.sparse_storage else default.epsilon,
+            namespace if array else default.array_namespace,
+            str(self.device) if array and self.device is not None else "",
+            workers if sharded else default.shard_workers,
+            executor if sharded else default.shard_executor,
+        ))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BackendConfig):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def override(self, **values: object) -> "BackendConfig":
+        """A copy with the given fields replaced; ``None`` values keep
+        the current setting (how optional keywords and CLI flags layer
+        over the ambient configuration)."""
+        return replace(
+            self, **{k: v for k, v in values.items() if v is not None}
+        )
+
+    def canonical(self) -> "BackendConfig":
+        """An equal configuration whose ignored settings are reset to
+        their defaults — what a built context reports."""
+        _, epsilon, namespace, _, workers, executor = self._key
+        return replace(
+            self,
+            epsilon=epsilon,
+            array_namespace=namespace,
+            device=self.device if self.backend == "array" else None,
+            shard_workers=workers,
+            shard_executor=executor,
+        )
+
+    @property
+    def sparse_storage(self) -> bool:
+        """ε-pruned CSR storage (``"sparse"`` or ``"sharded"``): ε
+        applies, and an algorithm that needs dense ``O(n^2)`` state
+        must materialize it."""
+        return self.backend in ("sparse", "sharded")
+
+    def __str__(self) -> str:
+        """Canonical form, e.g. ``"dense"``, ``"sparse:eps=0.05"``,
+        ``"sharded:eps=0.0,workers=2,executor=process"``."""
+        backend, epsilon, namespace, device, workers, executor = self._key
+        if backend == "array":
+            return f"array:{namespace}" + (f"@{device}" if device else "")
+        if backend == "sparse":
+            return f"sparse:eps={epsilon!r}"
+        if backend == "sharded":
+            return (
+                f"sharded:eps={epsilon!r},workers={workers},"
+                f"executor={executor}"
+            )
+        return backend
+
+    @classmethod
+    def from_env(cls) -> "BackendConfig":
+        """The configuration the ``REPRO_*`` environment variables name.
+
+        Read once at import as the ambient default; a malformed value
+        fails there with a message naming the variable and the accepted
+        values, not deep inside the first ``get_context`` call.
+        Selecting an array namespace whose package is missing still
+        fails lazily at backend build (validation imports nothing).
+        """
+        env = os.environ
+        backend = _env_choice("REPRO_BACKEND", "dense", BACKENDS)
+        raw = env.get("REPRO_SPARSE_EPSILON", "0")
+        try:
+            epsilon = float(raw)
+        except ValueError:
+            raise ValueError(
+                "REPRO_SPARSE_EPSILON must be a float in [0, 1) (the sparse "
+                f"backend's per-row pruned-mass budget), got {raw!r}"
+            ) from None
+        if not 0.0 <= epsilon < 1.0:
+            raise ValueError(
+                f"REPRO_SPARSE_EPSILON must be in [0, 1), got {raw!r}"
+            )
+        namespace = _env_choice(
+            "REPRO_ARRAY_NAMESPACE",
+            "numpy",
+            ARRAY_NAMESPACES,
+            " (the array-API namespace hosting ArrayBackend storage)",
+        )
+        raw = env.get("REPRO_SHARD_WORKERS", "2")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                "REPRO_SHARD_WORKERS must be an integer in "
+                f"[1, {MAX_SHARD_WORKERS}] (the sharded backend's worker "
+                f"count), got {raw!r}"
+            ) from None
+        if not 1 <= workers <= MAX_SHARD_WORKERS:
+            raise ValueError(
+                f"REPRO_SHARD_WORKERS must be in [1, {MAX_SHARD_WORKERS}], "
+                f"got {raw!r}"
+            )
+        executor = _env_choice(
+            "REPRO_SHARD_EXECUTOR",
+            "process",
+            SHARD_EXECUTORS,
+            " (how the sharded backend hosts its workers)",
+        )
+        return cls(backend, epsilon, namespace, None, workers, executor)
+
+
+#: The ambient configuration: what ``get_context`` and friends build
+#: when given no explicit ``config``.  A context variable, so a
+#: :func:`use_backend` scope covers its own thread (or asyncio task)
+#: only.
+_config: "ContextVar[BackendConfig]" = ContextVar(
+    "repro_backend_config", default=BackendConfig.from_env()
+)
+
+
+def backend_config() -> BackendConfig:
+    """The ambient :class:`BackendConfig` (``REPRO_*`` env at import,
+    unless a :func:`use_backend` scope is active)."""
+    return _config.get()
 
 
 @contextmanager
-def array_namespace_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default array namespace (``None`` = leave
-    as is)."""
-    global _default_array_namespace
-    previous = _default_array_namespace
-    if name is not None:
-        set_array_namespace(name)
-    try:
-        yield _default_array_namespace
-    finally:
-        _default_array_namespace = previous
-
-
-def default_shard_workers() -> int:
-    """The default worker count of the ``"sharded"`` backend."""
-    return _default_shard_workers
-
-
-def set_shard_workers(workers: int) -> None:
-    """Set the default shard worker count (block-rows per build)."""
-    global _default_shard_workers
-    _default_shard_workers = resolve_shard_workers(int(workers))
-
-
-def resolve_shard_workers(workers: Optional[int]) -> int:
-    """Validate *workers*, resolving ``None`` to the current default."""
-    if workers is None:
-        return _default_shard_workers
-    workers = int(workers)
-    if not 1 <= workers <= MAX_SHARD_WORKERS:
-        raise ValueError(
-            f"shard workers must be in [1, {MAX_SHARD_WORKERS}], "
-            f"got {workers}"
+def use_backend(config: BackendConfig) -> Iterator[BackendConfig]:
+    """Make *config* the ambient backend configuration inside the
+    ``with`` block (restored on exit, also on an exception)."""
+    if not isinstance(config, BackendConfig):
+        raise TypeError(
+            f"use_backend needs a BackendConfig, got {type(config).__name__}"
         )
-    return workers
-
-
-@contextmanager
-def shard_workers_scope(workers: Optional[int]) -> Iterator[int]:
-    """Temporarily switch the default shard worker count (``None`` =
-    leave as is)."""
-    global _default_shard_workers
-    previous = _default_shard_workers
-    if workers is not None:
-        set_shard_workers(workers)
+    token = _config.set(config)
     try:
-        yield _default_shard_workers
+        yield config
     finally:
-        _default_shard_workers = previous
-
-
-def default_shard_executor() -> str:
-    """The default executor name of the ``"sharded"`` backend."""
-    return _default_shard_executor
-
-
-def set_shard_executor(name: str) -> None:
-    """Set the default shard executor (``"serial"``/``"process"``)."""
-    global _default_shard_executor
-    _default_shard_executor = resolve_shard_executor(name)
-
-
-def resolve_shard_executor(name: Optional[str]) -> str:
-    """Validate *name*, resolving ``None`` to the current default."""
-    if name is None:
-        return _default_shard_executor
-    name = str(name).strip().lower()
-    if name not in SHARD_EXECUTORS:
-        raise ValueError(
-            f"shard executor must be one of {SHARD_EXECUTORS}, got {name!r}"
-        )
-    return name
-
-
-@contextmanager
-def shard_executor_scope(name: Optional[str]) -> Iterator[str]:
-    """Temporarily switch the default shard executor (``None`` = leave
-    as is)."""
-    global _default_shard_executor
-    previous = _default_shard_executor
-    if name is not None:
-        set_shard_executor(name)
-    try:
-        yield _default_shard_executor
-    finally:
-        _default_shard_executor = previous
+        _config.reset(token)
 
 
 def _import_array_namespace(name: str):
     """The array-API namespace module backing *name*.
 
     Imports are deferred to backend build so merely *configuring* a
-    namespace (env var, :func:`set_array_namespace`) never imports a
+    namespace (env var, :class:`BackendConfig`) never imports a
     heavy framework — and a missing package fails with an error naming
     the install extra instead of a bare ``ModuleNotFoundError``.
     """
@@ -1148,7 +1121,7 @@ class ArrayBackend(GainBackend):
         cls,
         instance: Instance,
         powers: np.ndarray,
-        namespace: Optional[str] = None,
+        namespace: str = "numpy",
         device=None,
     ) -> "ArrayBackend":
         """Build tile-by-tile on the host, then upload once.
@@ -1159,7 +1132,7 @@ class ArrayBackend(GainBackend):
         ``asarray`` per endpoint matrix is the only host→device
         transfer of the build.
         """
-        name = resolve_array_namespace(namespace)
+        name = _choice("array namespace", namespace, ARRAY_NAMESPACES)
         xp = _import_array_namespace(name)
         powers = np.asarray(powers, dtype=float).reshape(-1)
         hosts, non_finite = _build_gains(instance, powers)
@@ -1662,7 +1635,7 @@ class SparseBackend(GainBackend):
         cls,
         instance: Instance,
         powers: np.ndarray,
-        epsilon: Optional[float] = None,
+        epsilon: float = 0.0,
         tile_rows: int = DEFAULT_TILE_ROWS,
     ) -> "SparseBackend":
         """Tiled CSR build for ``(instance, powers)``.
@@ -1675,7 +1648,7 @@ class SparseBackend(GainBackend):
         so every *stored* entry is bit-identical to its dense
         counterpart.
         """
-        epsilon = resolve_sparse_epsilon(epsilon)
+        epsilon = _check_epsilon(epsilon)
         powers = np.asarray(powers, dtype=float).reshape(-1)
         n = instance.n
         tile_rows = max(1, int(tile_rows))
@@ -2075,40 +2048,26 @@ class SparseBackend(GainBackend):
 def build_backend(
     instance: Instance,
     powers: np.ndarray,
-    backend: Optional[str] = None,
-    sparse_epsilon: Optional[float] = None,
-    array_namespace: Optional[str] = None,
-    device=None,
-    shard_workers: Optional[int] = None,
-    shard_executor: Optional[str] = None,
+    config: Optional[BackendConfig] = None,
 ) -> GainBackend:
-    """Construct the gain backend for ``(instance, powers)``.
-
-    *backend*, *sparse_epsilon*, *array_namespace*, *shard_workers*
-    and *shard_executor* default to the process-wide settings
-    (:func:`default_backend` / :func:`default_sparse_epsilon` /
-    :func:`default_array_namespace` / :func:`default_shard_workers` /
-    :func:`default_shard_executor`); *device* applies to the array
-    backend only (``None`` = the namespace's default device).
-    """
-    name = resolve_backend(backend)
-    if name == "sparse":
-        return SparseBackend.build(instance, powers, epsilon=sparse_epsilon)
-    if name == "array":
+    """Construct the gain backend *config* names for ``(instance,
+    powers)`` (``None`` = the ambient :func:`backend_config`)."""
+    if config is None:
+        config = backend_config()
+    if config.backend == "sparse":
+        return SparseBackend.build(instance, powers, epsilon=config.epsilon)
+    if config.backend == "array":
         return ArrayBackend.build(
-            instance, powers, namespace=array_namespace, device=device
+            instance,
+            powers,
+            namespace=config.array_namespace,
+            device=config.device,
         )
-    if name == "sharded":
+    if config.backend == "sharded":
         # Lazy import: repro.distributed consumes this module's
         # primitives (_assemble_csr and friends), so the dependency
         # must point that way at import time.
         from repro.distributed import ShardedBackend
 
-        return ShardedBackend.build(
-            instance,
-            powers,
-            epsilon=sparse_epsilon,
-            workers=shard_workers,
-            executor=shard_executor,
-        )
+        return ShardedBackend.build(instance, powers, config)
     return DenseBackend.build(instance, powers)

@@ -55,12 +55,11 @@ import numpy as np
 
 from repro.core.gains import (
     DEFAULT_TILE_ROWS,
+    BackendConfig,
     GainBackend,
     _assemble_csr,
     _host_gain_targets,
-    resolve_shard_executor,
-    resolve_shard_workers,
-    resolve_sparse_epsilon,
+    backend_config,
 )
 from repro.core.instance import Instance
 from repro.runner.executors import (
@@ -319,26 +318,29 @@ class ShardedBackend(GainBackend):
         cls,
         instance: Instance,
         powers: np.ndarray,
-        epsilon: Optional[float] = None,
-        workers: Optional[int] = None,
-        executor: Optional[object] = None,
+        config: Optional[BackendConfig] = None,
+        executor: Optional[ShardExecutor] = None,
         retry=None,
         tile_rows: int = DEFAULT_TILE_ROWS,
     ) -> "ShardedBackend":
         """Build ``W`` shards owner-computes style.
 
-        *executor* is either a registered executor name
-        (``"serial"``/``"process"``; ``None`` = the process default,
-        env ``REPRO_SHARD_EXECUTOR``) or an already-constructed,
-        unstarted :class:`~repro.runner.executors.ShardExecutor` whose
-        worker count must equal *workers*.  Each worker receives only
-        ``(instance, powers, lo, hi, epsilon)`` and builds its block
-        row locally — the parent never touches gain values at all.
+        *config* (a ``"sharded"`` :class:`~repro.core.gains.BackendConfig`;
+        ``None`` = the ambient one with ``backend="sharded"``) gives ε,
+        the worker count ``W`` and the executor name.  *executor* may
+        instead be an already-constructed, unstarted
+        :class:`~repro.runner.executors.ShardExecutor` with ``W``
+        workers.  Each worker receives only ``(instance, powers, lo,
+        hi, epsilon)`` and builds its block row locally — the parent
+        never touches gain values at all.
         """
-        epsilon = resolve_sparse_epsilon(epsilon)
-        workers = resolve_shard_workers(workers)
+        if config is None:
+            config = backend_config().override(backend="sharded")
+        elif config.backend != "sharded":
+            raise ValueError(f"ShardedBackend needs a sharded config, got {config}")
+        epsilon, workers = config.epsilon, config.shard_workers
         powers = np.asarray(powers, dtype=float).reshape(-1)
-        if isinstance(executor, ShardExecutor):
+        if executor is not None:
             exec_obj = executor
             if exec_obj.workers != workers:
                 raise ValueError(
@@ -346,10 +348,9 @@ class ShardedBackend(GainBackend):
                     f"expected {workers}"
                 )
         else:
-            name = resolve_shard_executor(
-                executor if executor is None else str(executor)
+            exec_obj = build_shard_executor(
+                config.shard_executor, workers, retry=retry
             )
-            exec_obj = build_shard_executor(name, workers, retry=retry)
         bounds = shard_bounds(instance.n, workers)
         tile_rows = max(1, int(tile_rows))
         payloads = [

@@ -20,10 +20,9 @@ from the experiment specs alone and results merge in spec order (see
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro.core.gains import ARRAY_NAMESPACES, BACKENDS, set_array_namespace
+from repro.core.gains import ARRAY_NAMESPACES, BACKENDS, backend_config, use_backend
 from repro.experiments.registry import get_registry
 from repro.resilience.policy import RetryPolicy
 from repro.runner.orchestrator import run_experiments
@@ -78,8 +77,7 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "array-API namespace for the 'array' backend (default: the "
-            "process default, see REPRO_ARRAY_NAMESPACE); exported to "
-            "the environment so --jobs workers inherit it"
+            "process default, see REPRO_ARRAY_NAMESPACE)"
         ),
     )
     parser.add_argument(
@@ -144,12 +142,11 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.max_attempts is not None and args.max_attempts < 1:
         parser.error("--max-attempts must be >= 1")
-    if args.array_namespace is not None:
-        # Per-process default plus the environment, so --jobs worker
-        # processes (which re-read REPRO_ARRAY_NAMESPACE on import)
-        # resolve the same namespace as the parent.
-        os.environ["REPRO_ARRAY_NAMESPACE"] = args.array_namespace
-        set_array_namespace(args.array_namespace)
+    # The run's backend configuration; the orchestrator hands it to
+    # every shard, in-process or in a --jobs worker.
+    config = backend_config().override(
+        backend=args.backend, array_namespace=args.array_namespace
+    )
     retry = None
     if args.max_attempts is not None or args.shard_deadline is not None:
         retry = RetryPolicy(
@@ -174,16 +171,16 @@ def main(argv=None) -> int:
         print()
 
     try:
-        run_experiments(
-            args.experiments,
-            fast=args.fast,
-            jobs=args.jobs,
-            artifacts_dir=args.artifacts,
-            on_report=_print_report,
-            backend=args.backend,
-            retry=retry,
-            resume=not args.no_resume,
-        )
+        with use_backend(config):
+            run_experiments(
+                args.experiments,
+                fast=args.fast,
+                jobs=args.jobs,
+                artifacts_dir=args.artifacts,
+                on_report=_print_report,
+                retry=retry,
+                resume=not args.no_resume,
+            )
     except KeyError as exc:
         # resolve_specs rejects unknown ids before any work starts.
         parser.error(str(exc).strip("'\""))

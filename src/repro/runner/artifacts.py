@@ -325,10 +325,12 @@ def write_checkpoint(
 ) -> pathlib.Path:
     """Atomically persist one completed shard's table.
 
-    *backend* is the resolved execution-backend tag of the run (e.g.
-    ``"sparse"``, ``"array:numpy"``); it becomes part of the staleness
-    key so a resume under a different ``--backend`` re-runs the shard
-    instead of splicing in tables computed on another backend.
+    *backend* is the canonical string of the run's resolved
+    :class:`~repro.core.gains.BackendConfig` (e.g. ``"dense"``,
+    ``"sparse:eps=0.05"``, ``"array:numpy"``); it becomes part of the
+    staleness key so a resume under a different backend or setting
+    re-runs the shard instead of splicing in tables computed under
+    another configuration.
     """
     path = checkpoint_path(directory, experiment, shard_index)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -362,7 +364,7 @@ def read_checkpoint(
 
     A checkpoint only resumes when its recorded ``(experiment, key,
     seed, backend)`` matches the current spec's shard — a spec or
-    ``--backend`` change between runs silently invalidates old
+    backend-configuration change between runs silently invalidates old
     checkpoints instead of splicing mismatched rows into the merged
     table (shard tables can legitimately differ across backends, e.g.
     under sparse pruning).  Checkpoints written before the backend tag

@@ -565,14 +565,14 @@ def build_shard_executor(
 ) -> ShardExecutor:
     """Construct a registered executor by name.
 
-    ``None`` resolves to the process default
-    (:func:`repro.core.gains.default_shard_executor`, env
-    ``REPRO_SHARD_EXECUTOR``).
+    ``None`` resolves to the ambient
+    :func:`repro.core.gains.backend_config`'s executor (env
+    ``REPRO_SHARD_EXECUTOR`` unless a scope sets another).
     """
     if name is None:
-        from repro.core.gains import default_shard_executor
+        from repro.core.gains import backend_config
 
-        name = default_shard_executor()
+        name = backend_config().shard_executor
     name = str(name).strip().lower()
     if name == "serial":
         return SerialShardExecutor(workers)

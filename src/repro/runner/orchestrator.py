@@ -63,11 +63,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.gains import (
-    backend_scope,
-    default_array_namespace,
-    resolve_backend,
-)
+from repro.core.gains import BackendConfig, backend_config, use_backend
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy, ShardFailure
 from repro.runner.artifacts import (
@@ -121,21 +117,23 @@ def run_shard(
     spec_id: str,
     fast: bool,
     shard_index: int,
-    backend: Optional[str] = None,
+    config: Optional[BackendConfig] = None,
     attempt: int = 0,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[Table, float]:
     """Execute one shard (in this process) and time it.
 
-    *backend* is the resolved gain-backend name for this shard; it is
-    applied process-locally (workers receive it explicitly, since the
-    parent's :func:`repro.core.gains.set_default_backend` state does
-    not cross the process boundary).  *attempt* is the 0-based retry
-    attempt — it does not influence the computation (shard seeds come
-    from the spec alone, so retries are bit-identical), only the
-    deterministic *fault_plan* injection point ``("shard",
-    "<spec_id>:<shard_index>")``, which fires **before** any work so an
-    injected crash never leaves a half-computed table behind.
+    *config* is the shard's whole
+    :class:`~repro.core.gains.BackendConfig` (``None`` = the ambient
+    one); the shard runs under it, and pool workers receive it
+    explicitly, since a parent's :func:`~repro.core.gains.use_backend`
+    scope does not cross the process boundary.  *attempt* is the
+    0-based retry attempt — it does not influence the computation
+    (shard seeds come from the spec alone, so retries are
+    bit-identical), only the deterministic *fault_plan* injection
+    point ``("shard", "<spec_id>:<shard_index>")``, which fires
+    **before** any work so an injected crash never leaves a
+    half-computed table behind.
     """
     if fault_plan is not None:
         fault_plan.fire(
@@ -145,7 +143,7 @@ def run_shard(
     shard = spec.shards(fast)[shard_index]
     run = spec.resolve()
     start = time.perf_counter()
-    with backend_scope(backend):
+    with use_backend(backend_config() if config is None else config):
         table = run(**shard.kwargs)
     return table, time.perf_counter() - start
 
@@ -205,13 +203,13 @@ class _ShardScheduler:
         self,
         jobs: int,
         fast: bool,
-        backends: Dict[str, str],
+        configs: Dict[str, BackendConfig],
         policies: Dict[str, Optional[RetryPolicy]],
         fault_plan: Optional[FaultPlan],
     ):
         self.jobs = jobs
         self.fast = fast
-        self.backends = backends
+        self.configs = configs
         self.policies = policies
         self.fault_plan = fault_plan
         self.work: Dict[_ShardKey, Shard] = {}
@@ -266,7 +264,7 @@ class _ShardScheduler:
             spec_id,
             self.fast,
             shard_index,
-            backend=self.backends[spec_id],
+            config=self.configs[spec_id],
             attempt=self._failures.get(key, 0),
             fault_plan=self.fault_plan,
         )
@@ -334,7 +332,7 @@ class _ShardScheduler:
                     spec_id,
                     self.fast,
                     shard_index,
-                    backend=self.backends[spec_id],
+                    config=self.configs[spec_id],
                     attempt=attempt,
                     fault_plan=self.fault_plan,
                 )
@@ -417,7 +415,6 @@ def run_experiments(
     jobs: int = 1,
     artifacts_dir: Optional[str] = None,
     on_report: Optional[Callable[[BenchReport], None]] = None,
-    backend: Optional[str] = None,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     resume: bool = True,
@@ -428,6 +425,14 @@ def run_experiments(
     experiment's artifact is written (and *on_report* called) as soon
     as its last shard finishes, so a failure or interruption late in a
     long run does not discard the experiments already done.
+
+    Shards run under the ambient
+    :func:`~repro.core.gains.backend_config` (``REPRO_*`` variables,
+    or a :func:`~repro.core.gains.use_backend` scope such as the CLI's
+    ``--backend``), with a spec's own ``backend`` pin replacing the
+    backend name.  Each shard, in-process or in a pool worker, receives
+    that whole configuration; its name is recorded per experiment in
+    the artifact's ``env`` section.
 
     Parameters
     ----------
@@ -449,12 +454,6 @@ def run_experiments(
         Optional callback invoked with each experiment's
         :class:`BenchReport` as soon as it is complete (the CLI uses
         this to stream tables).
-    backend:
-        Run-level gain-backend choice (the CLI ``--backend`` flag).  A
-        spec's own ``backend`` pin wins over this; ``None`` falls back
-        to the process default, so ``REPRO_BACKEND=sparse`` flips a
-        whole run.  The resolved name is recorded per experiment in
-        the artifact's ``env`` section.
     retry:
         Run-level :class:`~repro.resilience.RetryPolicy`.  A spec's
         own ``retry`` pin wins over this.  With **no** policy anywhere
@@ -470,8 +469,9 @@ def run_experiments(
     resume:
         Load shard checkpoints left by an interrupted run with the
         same *artifacts_dir* (default ``True``).  Stale checkpoints —
-        key, seed or resolved backend no longer matching the spec and
-        run configuration — are ignored.
+        key, seed or resolved backend configuration (its canonical
+        string, e.g. ``sparse:eps=0.05``) no longer matching the spec
+        and run — are ignored.
 
     Returns
     -------
@@ -484,20 +484,16 @@ def run_experiments(
     plan: List[Tuple[ExperimentSpec, List[Shard]]] = [
         (spec, spec.shards(fast)) for spec in specs
     ]
-    # Resolve each spec's backend and retry policy up front: spec pin >
-    # run-level choice > default.  Workers receive the resolved
-    # backend name explicitly.
-    backends: Dict[str, str] = {
-        spec.id: resolve_backend(spec.backend or backend) for spec, _ in plan
-    }
-    # Checkpoint staleness tag: the resolved backend, qualified with the
-    # array namespace when it matters — shard tables are only reusable
-    # across runs that execute on the same backend configuration.
-    backend_tags: Dict[str, str] = {
-        spec_id: (
-            f"array:{default_array_namespace()}" if name == "array" else name
-        )
-        for spec_id, name in backends.items()
+    # Resolve each spec's backend configuration (its backend pin over
+    # the ambient :func:`use_backend` configuration) and retry policy
+    # up front.  Workers receive the whole configuration explicitly;
+    # its canonical string tags checkpoints, so a resume under another
+    # configuration (a new ε, say) re-runs the shards instead of
+    # splicing in stale tables.
+    ambient = backend_config()
+    configs: Dict[str, BackendConfig] = {
+        spec.id: ambient.override(backend=spec.backend)
+        for spec, _ in plan
     }
     policies: Dict[str, Optional[RetryPolicy]] = {
         spec.id: (spec.retry if spec.retry is not None else retry)
@@ -527,7 +523,7 @@ def run_experiments(
                     shard.index,
                     shard.key,
                     shard.seed,
-                    backend=backend_tags[spec.id],
+                    backend=str(configs[spec.id]),
                 )
                 if loaded is not None:
                     table, seconds, attempts = loaded
@@ -535,7 +531,7 @@ def run_experiments(
                         table, seconds, attempts=attempts, resumed=True
                     )
 
-    scheduler = _ShardScheduler(jobs, fast, backends, policies, fault_plan)
+    scheduler = _ShardScheduler(jobs, fast, configs, policies, fault_plan)
     work: Dict[_ShardKey, Shard] = {}
     for spec, shards in plan:
         for shard in shards:
@@ -566,7 +562,7 @@ def run_experiments(
                             outcome.table,
                             outcome.seconds,
                             attempts=outcome.attempts,
-                            backend=backend_tags[spec.id],
+                            backend=str(configs[spec.id]),
                         )
                         if fault_plan is not None:
                             fault_plan.fire(
@@ -606,7 +602,7 @@ def run_experiments(
                 run_wall_seconds=time.perf_counter() - start,
                 jobs=jobs,
                 metric=spec.metric,
-                backend=backends[spec.id],
+                backend=configs[spec.id].backend,
                 algorithms=tuple(spec.algorithms),
                 failures=failures,
             )

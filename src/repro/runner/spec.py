@@ -83,9 +83,9 @@ class ExperimentSpec:
     backend:
         Optional gain-backend pin (``"dense"``/``"sparse"``) for every
         shard of this experiment.  ``None`` (the default) follows the
-        run-level ``--backend`` choice, falling back to the process
-        default (:func:`repro.core.gains.default_backend`).  The
-        resolved name is recorded in the ``BENCH_*.json`` artifact.
+        run-level ``--backend`` choice, falling back to the ambient
+        :func:`repro.core.gains.backend_config`.  The resolved name is
+        recorded in the ``BENCH_*.json`` artifact.
     algorithms:
         Names from :mod:`repro.scheduling.registry` this experiment
         exercises.  Validated against the registry at spec construction

@@ -38,8 +38,8 @@ Capability flags (:class:`AlgorithmCapabilities`) make the differences
 * ``supports_sparse`` — runs on the :class:`~repro.core.gains.SparseBackend`
   without materializing dense O(n^2) state (the protocol model's
   conflict graph needs the full distance matrix, so it does not);
-  running an unsupported algorithm under a sparse default emits a
-  ``RuntimeWarning`` naming the dense materialization.
+  running an unsupported algorithm under a sparse or sharded default
+  emits a ``RuntimeWarning`` naming the dense materialization.
 * ``supports_batch`` — has a lockstep batched kernel over
   :class:`~repro.core.batch.ContextBatch` (currently first-fit, via
   :meth:`~repro.core.batch.ContextBatch.first_fit_schedules`).
@@ -65,7 +65,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.gains import default_backend
+from repro.core.gains import backend_config, use_backend
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 
@@ -187,11 +187,12 @@ class AlgorithmSpec:
                 f"algorithm {self.name!r} is deterministic; rng= is not "
                 "accepted"
             )
-        if not caps.supports_sparse and default_backend() == "sparse":
+        config = backend_config()
+        if not caps.supports_sparse and config.sparse_storage:
             warnings.warn(
                 f"algorithm {self.name!r} has no sparse-backend support; "
                 "this run materializes dense O(n^2) state despite the "
-                "sparse default",
+                f"{config.backend} default",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -266,18 +267,16 @@ def _adapt_first_fit(instance, powers, rng, params) -> AlgorithmOutcome:
 
 
 def _adapt_first_fit_sharded(instance, powers, rng, params) -> AlgorithmOutcome:
-    from repro.core.gains import (
-        backend_scope,
-        shard_executor_scope,
-        shard_workers_scope,
-    )
     from repro.scheduling.firstfit import first_fit_schedule
 
-    workers = params.pop("workers", None)
-    executor = params.pop("executor", None)
-    with backend_scope("sharded"), shard_workers_scope(
-        workers
-    ), shard_executor_scope(executor):
+    # ε, and workers/executor when not given, carry over from the
+    # ambient configuration (the session's, or the REPRO_* variables).
+    config = backend_config().override(
+        backend="sharded",
+        shard_workers=params.pop("workers", None),
+        shard_executor=params.pop("executor", None),
+    )
+    with use_backend(config):
         schedule = first_fit_schedule(instance, powers, **params)
     return AlgorithmOutcome(schedule, None, {})
 

@@ -1,11 +1,19 @@
-"""Environment-variable validation at load time (satellite).
+"""Environment-variable validation at load time.
 
 Malformed ``REPRO_BACKEND`` / ``REPRO_CONTEXT_CACHE`` /
-``REPRO_SPARSE_EPSILON`` / ``REPRO_ARRAY_NAMESPACE`` values must fail
+``REPRO_SPARSE_EPSILON`` / ``REPRO_ARRAY_NAMESPACE`` /
+``REPRO_SHARD_WORKERS`` / ``REPRO_SHARD_EXECUTOR`` values must fail
 with messages naming the variable and the accepted values — these
-parsers run at module import, so a typo surfaces immediately instead of
-deep inside ``get_context``.
+parsers run at module import (:meth:`BackendConfig.from_env` seeds the
+ambient backend configuration), so a typo surfaces immediately instead
+of deep inside ``get_context``.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -13,11 +21,42 @@ from repro.core.context import (
     DEFAULT_CONTEXT_CACHE_LIMIT,
     _env_cache_limit,
 )
-from repro.core.gains import (
-    _env_array_namespace,
-    _env_backend,
-    _env_epsilon,
+from repro.core.gains import BackendConfig
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+_BACKEND_VARS = (
+    "REPRO_BACKEND",
+    "REPRO_SPARSE_EPSILON",
+    "REPRO_ARRAY_NAMESPACE",
+    "REPRO_SHARD_WORKERS",
+    "REPRO_SHARD_EXECUTOR",
 )
+
+
+@pytest.fixture(autouse=True)
+def _clean_backend_env(monkeypatch):
+    """Start every test from an unset backend environment (the suite
+    itself may run under ``REPRO_BACKEND=...``)."""
+    for name in _BACKEND_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+def _env_backend():
+    return BackendConfig.from_env().backend
+
+
+def _env_array_namespace():
+    return BackendConfig.from_env().array_namespace
+
+
+def _env_epsilon():
+    return BackendConfig.from_env().epsilon
+
+
+def _env_shard():
+    config = BackendConfig.from_env()
+    return config.shard_workers, config.shard_executor
 
 
 class TestContextCacheEnv:
@@ -115,3 +154,96 @@ class TestSparseEpsilonEnv:
         monkeypatch.setenv("REPRO_SPARSE_EPSILON", "1.0")
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             _env_epsilon()
+
+
+class TestShardEnv:
+    def test_defaults_when_unset(self, monkeypatch):
+        assert _env_shard() == (2, "process")
+
+    def test_valid_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "4")
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", " Serial ")
+        assert _env_shard() == (4, "serial")
+
+    def test_non_integer_workers_names_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "many")
+        with pytest.raises(ValueError, match="REPRO_SHARD_WORKERS") as err:
+            _env_shard()
+        assert "integer" in str(err.value) and "'many'" in str(err.value)
+
+    def test_workers_out_of_range_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "0")
+        with pytest.raises(ValueError, match=r"REPRO_SHARD_WORKERS must be in \[1, "):
+            _env_shard()
+
+    def test_unknown_executor_lists_allowed_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "mpi")
+        with pytest.raises(ValueError, match="REPRO_SHARD_EXECUTOR") as err:
+            _env_shard()
+        assert "serial" in str(err.value) and "process" in str(err.value)
+
+    def test_settings_for_other_backends_are_kept(self, monkeypatch):
+        """A dense default still carries the env ε and shard settings:
+        they do not change its identity, but a later ``--backend`` or
+        ``Problem(backend=...)`` override that selects a backend
+        reading them picks them up."""
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "4")
+        monkeypatch.setenv("REPRO_SPARSE_EPSILON", "0.25")
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "serial")
+        config = BackendConfig.from_env()
+        assert config == BackendConfig("dense")
+        assert str(config) == "dense"
+        assert config.override(backend="sparse") == BackendConfig(
+            "sparse", epsilon=0.25
+        )
+        assert config.override(backend="sharded") == BackendConfig(
+            "sharded", epsilon=0.25, shard_workers=4, shard_executor="serial"
+        )
+
+
+def test_import_time_env_reaches_backend_overrides(tmp_path):
+    """The ambient default read at import keeps ``REPRO_SPARSE_EPSILON``
+    and ``REPRO_SHARD_EXECUTOR`` under a dense ``REPRO_BACKEND``, so
+    ``Problem(backend="sparse")`` runs at the env ε and an executor
+    built by name ``None`` is the env one."""
+    script = textwrap.dedent(
+        """
+        from repro.api import Problem
+        from repro.instances.random_instances import random_uniform_instance
+        from repro.runner.executors import (
+            SerialShardExecutor,
+            build_shard_executor,
+        )
+
+        instance = random_uniform_instance(6, rng=1)
+        assert Problem(instance, backend="sparse").config.epsilon == 0.05
+        sharded = Problem(instance, backend="sharded").config
+        assert (sharded.epsilon, sharded.shard_executor) == (0.05, "serial")
+        executor = build_shard_executor(None, 1)
+        assert isinstance(executor, SerialShardExecutor), executor
+        print("ok")
+        """
+    )
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in _BACKEND_VARS
+    }
+    env.update(
+        REPRO_BACKEND="dense",
+        REPRO_SPARSE_EPSILON="0.05",
+        REPRO_SHARD_EXECUTOR="serial",
+        PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+        ),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

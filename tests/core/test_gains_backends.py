@@ -17,7 +17,6 @@ Contracts under test (see :mod:`repro.core.gains`):
 """
 
 import math
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -30,13 +29,12 @@ from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
 from repro.core.gains import (
     ArrayBackend,
+    BackendConfig,
     DenseBackend,
     SparseBackend,
-    backend_scope,
+    backend_config,
     build_backend,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
+    use_backend,
 )
 from repro.core.instance import Direction, Instance
 from repro.core.interference import (
@@ -82,16 +80,6 @@ def _grid():
 GRID = _grid()
 
 
-@contextmanager
-def gains_epsilon(value):
-    previous = gains.default_sparse_epsilon()
-    gains.set_sparse_epsilon(value)
-    try:
-        yield
-    finally:
-        gains.set_sparse_epsilon(previous)
-
-
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_context_cache()
@@ -105,10 +93,8 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
-        sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=0.0
-        )
+        dense = build_backend(instance, powers, BackendConfig("dense"))
+        sparse = build_backend(instance, powers, BackendConfig("sparse", epsilon=0.0))
         assert sparse.is_lossless
         assert sparse.directed == dense.directed
         assert sparse.has_infinite_gains == dense.has_infinite_gains
@@ -153,10 +139,8 @@ class TestLosslessBitIdentity:
         bitwise — on every backend, with and without a column subset,
         including infinite (shared-node) rows."""
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
-        sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=0.0
-        )
+        dense = build_backend(instance, powers, BackendConfig("dense"))
+        sparse = build_backend(instance, powers, BackendConfig("sparse", epsilon=0.0))
         n = instance.n
         rows = np.arange(n)
         cols = np.asarray(sorted({0, n - 1, n // 2}))
@@ -185,7 +169,7 @@ class TestLosslessBitIdentity:
         """Tiled accumulation must not change the bits: shrinking the
         tile to 1 row yields the same sums."""
         instance, powers = GRID["euclid-bid"]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         rows = np.arange(instance.n)
         expected = dense.row_sums_u(rows)
         dense.tile_rows = 1
@@ -194,8 +178,8 @@ class TestLosslessBitIdentity:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_context_queries_match_dense(self, name):
         instance, powers = GRID[name]
-        ctx_dense = get_context(instance, powers, backend="dense")
-        ctx_sparse = get_context(instance, powers, backend="sparse")
+        ctx_dense = get_context(instance, powers, config=BackendConfig("dense"))
+        ctx_sparse = get_context(instance, powers, config=BackendConfig("sparse"))
         assert ctx_dense is not ctx_sparse  # distinct cache slots
         np.testing.assert_array_equal(
             ctx_dense.margins(), ctx_sparse.margins()
@@ -222,8 +206,8 @@ class TestLosslessBitIdentity:
                 ).colors,
             }
             clear_context_cache()
-            with backend_scope("sparse"):
-                assert default_backend() == "sparse"
+            with use_backend(BackendConfig("sparse")):
+                assert backend_config().backend == "sparse"
                 results = {
                     "first_fit": first_fit_schedule(instance, powers).colors,
                     "peeling": peeling_schedule(instance, powers).colors,
@@ -245,9 +229,9 @@ class TestLosslessBitIdentity:
 
 class TestPrunedBackend:
     def _pruned(self, instance, powers, epsilon):
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         sparse = build_backend(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance, powers, BackendConfig("sparse", epsilon=epsilon)
         )
         return dense, sparse
 
@@ -274,7 +258,7 @@ class TestPrunedBackend:
         assert sparse.has_infinite_gains
         # Adjacent shared-node requests must still see infinite gain.
         assert np.isinf(sparse.col_u(1)).any() or np.isinf(sparse.col_v(1)).any()
-        ctx = get_context(instance, powers, backend="sparse", sparse_epsilon=0.5)
+        ctx = get_context(instance, powers, config=BackendConfig("sparse", epsilon=0.5))
         slack = ctx.budget_slack(np.asarray([0, 1]))
         assert np.all(np.isneginf(slack))
 
@@ -288,11 +272,11 @@ class TestPrunedBackend:
         # Small epsilon: pruning is active but far from any margin.
         epsilon = 1e-5
         ctx = get_context(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance, powers, config=BackendConfig("sparse", epsilon=epsilon)
         )
         assert not ctx.backend.is_lossless
         ctx.backend.reset_flip_risk()
-        with backend_scope("sparse"), gains_epsilon(epsilon):
+        with use_backend(BackendConfig("sparse", epsilon=epsilon)):
             sparse_colors = first_fit_schedule(instance, powers).colors
         assert ctx.backend.flip_risk_events == 0
         np.testing.assert_array_equal(sparse_colors, dense_colors)
@@ -313,10 +297,10 @@ class TestPrunedBackend:
             dense_colors = first_fit_schedule(instance, powers).colors
             clear_context_cache()
             ctx = get_context(
-                instance, powers, backend="sparse", sparse_epsilon=epsilon
+                instance, powers, config=BackendConfig("sparse", epsilon=epsilon)
             )
             ctx.backend.reset_flip_risk()
-            with backend_scope("sparse"), gains_epsilon(epsilon):
+            with use_backend(BackendConfig("sparse", epsilon=epsilon)):
                 sparse_colors = first_fit_schedule(instance, powers).colors
             risk = ctx.backend.flip_risk_events
             any_risk = any_risk or risk > 0
@@ -338,9 +322,9 @@ class TestPrunedBackend:
         powers = SquareRootPower()(instance)
         epsilon = 0.3
         ctx = get_context(
-            instance, powers, backend="sparse", sparse_epsilon=epsilon
+            instance, powers, config=BackendConfig("sparse", epsilon=epsilon)
         )
-        with backend_scope("sparse"), gains_epsilon(epsilon):
+        with use_backend(BackendConfig("sparse", epsilon=epsilon)):
             first_fit_schedule(instance, powers)
             first_run = ctx.backend.flip_risk_events
             assert first_run > 0  # seed 401 trips the band (see above)
@@ -369,14 +353,14 @@ class TestPrunedBackend:
         instance = random_uniform_instance(12, rng=21)
         powers = SquareRootPower()(instance)
         pool = ContextPool()
-        lossless = pool.get(instance, powers, backend="sparse")
-        assert lossless.sparse_epsilon == 0.0
-        with gains_epsilon(0.2):
-            pruned = pool.get(instance, powers, backend="sparse")
+        lossless = pool.get(instance, powers, config=BackendConfig("sparse"))
+        assert lossless.config.epsilon == 0.0
+        with use_backend(BackendConfig("sparse", epsilon=0.2)):
+            pruned = pool.get(instance, powers)
         assert pruned is not lossless
-        assert pruned.sparse_epsilon == 0.2
+        assert pruned.config.epsilon == 0.2
         explicit = pool.get(
-            instance, powers, backend="sparse", sparse_epsilon=0.2
+            instance, powers, config=BackendConfig("sparse", epsilon=0.2)
         )
         assert explicit is pruned
         assert len(pool) == 2
@@ -495,7 +479,7 @@ class TestTiledMetricAccess:
         instance = random_uniform_instance(32, rng=12, direction="directed")
         powers = SquareRootPower()(instance)
         assert instance.metric._matrix_cache is None
-        built = build_backend(instance, powers, backend=backend)
+        built = build_backend(instance, powers, BackendConfig(backend))
         built.class_sum_u(None)
         assert instance.metric._matrix_cache is None
 
@@ -574,37 +558,34 @@ class TestTiledDenseBuild:
 
 class TestBackendSelection:
     def test_resolve_and_default(self):
-        assert resolve_backend(None) == default_backend()
-        assert resolve_backend("DENSE") == "dense"
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")
-        with pytest.raises(ValueError):
-            gains.resolve_sparse_epsilon(1.5)
+        assert BackendConfig("DENSE").backend == "dense"
+        with pytest.raises(ValueError, match="backend must be one of"):
+            BackendConfig("gpu")
+        with pytest.raises(ValueError, match="sparse epsilon"):
+            BackendConfig("sparse", epsilon=1.5)
 
     def test_scope_restores_default(self):
-        before = default_backend()
-        with backend_scope("sparse"):
-            assert default_backend() == "sparse"
-            with backend_scope(None):  # None = leave as is
-                assert default_backend() == "sparse"
-        assert default_backend() == before
+        before = backend_config()
+        with use_backend(BackendConfig("sparse")):
+            assert backend_config().backend == "sparse"
+            with use_backend(backend_config()):  # re-entering is a no-op
+                assert backend_config().backend == "sparse"
+        assert backend_config() == before
 
-    def test_set_default_backend_roundtrip(self):
-        before = default_backend()
-        try:
-            set_default_backend("sparse")
+    def test_use_backend_roundtrip(self):
+        before = backend_config()
+        with use_backend(BackendConfig("sparse")):
             instance = random_uniform_instance(6, rng=3)
             powers = SquareRootPower()(instance)
             ctx = get_context(instance, powers)
-            assert ctx.backend_name == "sparse"
+            assert ctx.config.backend == "sparse"
             assert isinstance(ctx.backend, SparseBackend)
-        finally:
-            set_default_backend(before)
+        assert backend_config() == before
 
     def test_dense_backend_reuses_context_arrays(self):
         instance = random_uniform_instance(8, rng=2)
         powers = SquareRootPower()(instance)
-        ctx = get_context(instance, powers, backend="dense")
+        ctx = get_context(instance, powers, config=BackendConfig("dense"))
         backend = ctx.backend
         assert isinstance(backend, DenseBackend)
         assert ctx.gains_u is backend.gains_u
@@ -618,8 +599,8 @@ class TestArrayBackend:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
-        array = build_backend(instance, powers, backend="array")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
+        array = build_backend(instance, powers, BackendConfig("array"))
         assert isinstance(array, ArrayBackend)
         assert array.name == "array"
         assert array.namespace == "numpy"
@@ -670,7 +651,7 @@ class TestArrayBackend:
         identity: primitives return host float64 arrays without a
         round-trip copy of the whole matrix."""
         instance, powers = GRID["euclid-bid"]
-        array = build_backend(instance, powers, backend="array")
+        array = build_backend(instance, powers, BackendConfig("array"))
         col = array.col_u(0)
         assert isinstance(col, np.ndarray)
         assert col.dtype == np.float64
@@ -687,7 +668,7 @@ class TestArrayBackend:
                 ).colors,
             }
             clear_context_cache()
-            with backend_scope("array"):
+            with use_backend(BackendConfig("array")):
                 results = {
                     "first_fit": first_fit_schedule(instance, powers).colors,
                     "peeling": peeling_schedule(instance, powers).colors,
@@ -707,10 +688,10 @@ class TestArrayBackend:
         instance, powers = GRID["euclid-dir"]
         with pytest.raises(ValueError, match="array namespace"):
             build_backend(
-                instance, powers, backend="array", array_namespace="jax"
+                instance, powers, BackendConfig("array", array_namespace="jax")
             )
         with pytest.raises(ValueError, match="array namespace"):
-            gains.resolve_array_namespace("pandas")
+            BackendConfig("array", array_namespace="pandas")
 
     def test_missing_framework_names_install_extra(self):
         """Selecting an uninstalled namespace fails at build with an
@@ -727,26 +708,30 @@ class TestArrayBackend:
             pytest.skip("torch and cupy both installed")
         with pytest.raises(ImportError, match=r"\[array\]"):
             build_backend(
-                instance, powers, backend="array", array_namespace=missing[0]
+                instance,
+                powers,
+                BackendConfig("array", array_namespace=missing[0]),
             )
 
     def test_namespace_scope_and_default(self):
-        before = gains.default_array_namespace()
-        with gains.array_namespace_scope("numpy"):
-            assert gains.default_array_namespace() == "numpy"
-            with gains.array_namespace_scope(None):
-                assert gains.default_array_namespace() == "numpy"
-        assert gains.default_array_namespace() == before
+        before = backend_config()
+        with use_backend(BackendConfig("array", array_namespace="numpy")):
+            assert backend_config().array_namespace == "numpy"
+            # A backend that ignores the namespace does not count it.
+            ignored = BackendConfig("dense", array_namespace="torch")
+            assert ignored == BackendConfig("dense")
+            assert ignored.canonical().array_namespace == "numpy"
+        assert backend_config() == before
 
     def test_context_cache_keys_on_namespace_and_device(self):
         instance, powers = GRID["euclid-bid"]
-        dense_ctx = get_context(instance, powers, backend="dense")
-        array_ctx = get_context(instance, powers, backend="array")
-        again = get_context(instance, powers, backend="array")
+        dense_ctx = get_context(instance, powers, config=BackendConfig("dense"))
+        array_ctx = get_context(instance, powers, config=BackendConfig("array"))
+        again = get_context(instance, powers, config=BackendConfig("array"))
         assert dense_ctx is not array_ctx
         assert array_ctx is again
-        assert array_ctx.array_namespace == "numpy"
-        assert array_ctx.backend_name == "array"
+        assert array_ctx.config.array_namespace == "numpy"
+        assert array_ctx.config.backend == "array"
 
 
 class TestArrayApiStrict:
@@ -761,12 +746,11 @@ class TestArrayApiStrict:
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_primitives_match_dense(self, name):
         instance, powers = GRID[name]
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         strict = build_backend(
             instance,
             powers,
-            backend="array",
-            array_namespace="array_api_strict",
+            BackendConfig("array", array_namespace="array_api_strict"),
         )
         assert strict.namespace == "array_api_strict"
         n = instance.n
@@ -808,8 +792,8 @@ class TestArrayApiStrict:
         powers = SquareRootPower()(instance)
         expected = first_fit_schedule(instance, powers).colors
         clear_context_cache()
-        with backend_scope("array"), gains.array_namespace_scope(
-            "array_api_strict"
+        with use_backend(
+            BackendConfig("array", array_namespace="array_api_strict")
         ):
             got = first_fit_schedule(instance, powers).colors
         np.testing.assert_array_equal(got, expected)

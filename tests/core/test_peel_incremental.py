@@ -27,9 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.core import gains
 from repro.core.context import clear_context_cache, get_context
-from repro.core.gains import backend_scope, build_backend
+from repro.core.gains import BackendConfig, build_backend, use_backend
 from repro.core.instance import Direction, Instance
 from repro.core.kernels import (
     PeelFallbackInfo,
@@ -89,7 +88,7 @@ def _both_ways(context, candidates=None, beta=None):
         candidates=candidates, beta=beta
     )
     np.testing.assert_array_equal(incremental, reference)
-    if context.sparse_epsilon == 0.0:
+    if context.config.epsilon == 0.0:
         scratch = oracles.greedy_max_feasible_subset(
             context.instance, context.powers, candidates=candidates, beta=beta
         )
@@ -129,18 +128,13 @@ class TestGridConformance:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_sparse_backend_matches_its_own_reference(self, epsilon):
-        previous = gains.default_sparse_epsilon()
-        gains.set_sparse_epsilon(epsilon)
-        try:
-            with backend_scope("sparse"):
-                for seed in range(4):
-                    inst = random_uniform_instance(14, rng=seed)
-                    powers = SquareRootPower()(inst)
-                    ctx = get_context(inst, powers)
-                    assert ctx.backend.name == "sparse"
-                    _both_ways(ctx)
-        finally:
-            gains.set_sparse_epsilon(previous)
+        with use_backend(BackendConfig("sparse", epsilon=epsilon)):
+            for seed in range(4):
+                inst = random_uniform_instance(14, rng=seed)
+                powers = SquareRootPower()(inst)
+                ctx = get_context(inst, powers)
+                assert ctx.backend.name == "sparse"
+                _both_ways(ctx)
 
     def test_trivial_sizes(self):
         inst = random_uniform_instance(3, rng=9)
@@ -265,9 +259,7 @@ class TestSparseNeverDensifies:
     def test_peel_avoids_block_gathers(self, monkeypatch):
         inst = random_uniform_instance(12, rng=11)
         powers = SquareRootPower()(inst)
-        backend = build_backend(
-            inst, powers, backend="sparse", sparse_epsilon=0.0
-        )
+        backend = build_backend(inst, powers, BackendConfig("sparse", epsilon=0.0))
 
         def _boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError(
@@ -277,7 +269,7 @@ class TestSparseNeverDensifies:
 
         monkeypatch.setattr(type(backend), "block_u", _boom)
         monkeypatch.setattr(type(backend), "block_v", _boom)
-        with backend_scope("sparse"):
+        with use_backend(BackendConfig("sparse")):
             ctx = get_context(inst, powers)
         assert ctx.backend.name == "sparse"
         monkeypatch.setattr(type(ctx.backend), "block_u", _boom)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import clear_context_cache
-from repro.core.gains import build_backend
+from repro.core.gains import BackendConfig, build_backend
 from repro.distributed import ShardedBackend, distributed_protocol
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
@@ -33,14 +33,20 @@ def _instance(n=20, seed=7):
     return random_uniform_instance(n, rng=seed, direction="directed")
 
 
+def _sharded_config(executor):
+    return BackendConfig(
+        "sharded", epsilon=0.0, shard_workers=2, shard_executor=executor
+    )
+
+
 @pytest.mark.slow
 class TestProcessConformance:
     def test_process_matches_dense_and_owns_real_workers(self):
         instance = _instance()
         powers = SquareRootPower()(instance)
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         backend = ShardedBackend.build(
-            instance, powers, epsilon=0.0, workers=2, executor="process"
+            instance, powers, _sharded_config("process")
         )
         try:
             health = backend.worker_health()
@@ -65,7 +71,7 @@ class TestProcessConformance:
         results = {}
         for executor in ("serial", "process"):
             backend = ShardedBackend.build(
-                instance, powers, epsilon=0.0, workers=2, executor=executor
+                instance, powers, _sharded_config(executor)
             )
             try:
                 results[executor] = backend.dense_u()
@@ -82,11 +88,11 @@ class TestSigkillRecovery:
         instance = _instance(n=24, seed=11)
         powers = SquareRootPower()(instance)
         colors = np.arange(instance.n) % 2
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         expected_dense_u = dense.dense_u()
         expected_class_sum = dense.class_sum_u(colors)
         backend = ShardedBackend.build(
-            instance, powers, epsilon=0.0, workers=2, executor="process"
+            instance, powers, _sharded_config("process")
         )
         try:
             executor = backend.executor
@@ -113,12 +119,15 @@ class TestSigkillRecovery:
         so even ``max_attempts=1`` survives an idle-time SIGKILL."""
         instance = _instance(n=12, seed=3)
         powers = SquareRootPower()(instance)
-        dense = build_backend(instance, powers, backend="dense")
+        dense = build_backend(instance, powers, BackendConfig("dense"))
         expected = dense.dense_u()
         retry = RetryPolicy(max_attempts=1, base_delay=0.0)
         executor = ProcessShardExecutor(2, retry=retry)
         backend = ShardedBackend.build(
-            instance, powers, epsilon=0.0, workers=2, executor=executor
+            instance,
+            powers,
+            BackendConfig("sharded", shard_workers=2),
+            executor=executor,
         )
         try:
             victim = executor.worker_pids()[1]
@@ -181,7 +190,7 @@ def test_rebuilt_backends_are_deterministic():
     results = []
     for _ in range(2):
         backend = ShardedBackend.build(
-            instance, powers, epsilon=0.0, workers=2, executor="serial"
+            instance, powers, _sharded_config("serial")
         )
         try:
             results.append(backend.dense_u())

@@ -19,6 +19,7 @@ import time
 import pytest
 
 import repro
+from repro.core.gains import BackendConfig, use_backend
 from repro.resilience import FaultPlan, RetryPolicy, ShardFailure
 from repro.resilience.faults import FAULT_KILL_EXIT, FaultSpec, InjectedFault
 from repro.runner import (
@@ -282,26 +283,64 @@ class TestCheckpointResume:
         plan = FaultPlan(
             specs=(FaultSpec(site="checkpoint", key="e1:0", at=(0,)),)
         )
-        with pytest.raises(InjectedFault):
-            run_experiments(
-                ["e1"],
-                fast=True,
-                jobs=1,
-                artifacts_dir=str(tmp_path),
-                fault_plan=plan,
-                backend="dense",
-            )
+        with use_backend(BackendConfig("dense")):
+            with pytest.raises(InjectedFault):
+                run_experiments(
+                    ["e1"],
+                    fast=True,
+                    jobs=1,
+                    artifacts_dir=str(tmp_path),
+                    fault_plan=plan,
+                )
         assert checkpoint_path(tmp_path, "e1", 0).is_file()
         # A --backend switch between the interrupted run and the resume
         # must invalidate the dense-tagged checkpoint.
-        report = run_experiments(
-            ["e1"],
-            fast=True,
-            jobs=1,
-            artifacts_dir=str(tmp_path),
-            backend="sparse",
-        )[0]
+        with use_backend(BackendConfig("sparse")):
+            report = run_experiments(
+                ["e1"], fast=True, jobs=1, artifacts_dir=str(tmp_path)
+            )[0]
         assert [s.resumed for s in report.shards] == [False, False]
+
+    def test_resume_at_different_epsilon_reruns_shards(self, tmp_path):
+        plan = FaultPlan(
+            specs=(FaultSpec(site="checkpoint", key="e1:0", at=(0,)),)
+        )
+        with use_backend(BackendConfig("sparse", epsilon=0.05)):
+            with pytest.raises(InjectedFault):
+                run_experiments(
+                    ["e1"],
+                    fast=True,
+                    jobs=1,
+                    artifacts_dir=str(tmp_path),
+                    fault_plan=plan,
+                )
+        assert checkpoint_path(tmp_path, "e1", 0).is_file()
+        payload = json.loads(checkpoint_path(tmp_path, "e1", 0).read_text())
+        assert payload["backend"] == "sparse:eps=0.05"
+        # Same backend name, different ε: the checkpoint is stale.
+        with use_backend(BackendConfig("sparse", epsilon=0.0)):
+            report = run_experiments(
+                ["e1"], fast=True, jobs=1, artifacts_dir=str(tmp_path)
+            )[0]
+        assert [s.resumed for s in report.shards] == [False, False]
+
+    def test_resume_at_same_epsilon_reuses_checkpoint(self, tmp_path):
+        plan = FaultPlan(
+            specs=(FaultSpec(site="checkpoint", key="e1:0", at=(0,)),)
+        )
+        with use_backend(BackendConfig("sparse", epsilon=0.05)):
+            with pytest.raises(InjectedFault):
+                run_experiments(
+                    ["e1"],
+                    fast=True,
+                    jobs=1,
+                    artifacts_dir=str(tmp_path),
+                    fault_plan=plan,
+                )
+            report = run_experiments(
+                ["e1"], fast=True, jobs=1, artifacts_dir=str(tmp_path)
+            )[0]
+        assert [s.resumed for s in report.shards] == [True, False]
 
     def test_corrupt_checkpoint_is_ignored(self, tmp_path, clean_e1):
         path = checkpoint_path(tmp_path, "e1", 0)

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core.gains import BackendConfig, use_backend
 from repro.experiments.registry import get_registry
 from repro.runner.artifacts import (
     BenchReport,
@@ -78,9 +79,10 @@ class TestRegistry:
 
 class TestBackendPlumbing:
     def test_run_records_backend_in_artifact(self, tmp_path):
-        reports = run_experiments(
-            ["e2"], fast=True, artifacts_dir=str(tmp_path), backend="sparse"
-        )
+        with use_backend(BackendConfig("sparse")):
+            reports = run_experiments(
+                ["e2"], fast=True, artifacts_dir=str(tmp_path)
+            )
         assert reports[0].backend == "sparse"
         payload = json.loads(artifact_path(tmp_path, "e2").read_text())
         assert payload["env"]["backend"] == "sparse"
@@ -89,8 +91,10 @@ class TestBackendPlumbing:
     def test_backend_choice_does_not_change_tables(self):
         """Default sparse is lossless, so experiment tables must be
         identical across backends."""
-        dense = run_experiments(["e2"], fast=True, backend="dense")
-        sparse = run_experiments(["e2"], fast=True, backend="sparse")
+        with use_backend(BackendConfig("dense")):
+            dense = run_experiments(["e2"], fast=True)
+        with use_backend(BackendConfig("sparse")):
+            sparse = run_experiments(["e2"], fast=True)
         assert bench_to_dict(dense[0])["table"] == (
             bench_to_dict(sparse[0])["table"]
         )
@@ -98,9 +102,20 @@ class TestBackendPlumbing:
         assert sparse[0].backend == "sparse"
 
     def test_run_shard_applies_backend(self):
-        table_dense, _ = run_shard("e2", True, 0, backend="dense")
-        table_sparse, _ = run_shard("e2", True, 0, backend="sparse")
+        table_dense, _ = run_shard("e2", True, 0, config=BackendConfig("dense"))
+        table_sparse, _ = run_shard("e2", True, 0, config=BackendConfig("sparse"))
         assert table_dense.rows == table_sparse.rows
+
+    def test_workers_receive_the_whole_config(self):
+        """--jobs workers run under the parent's full configuration
+        (here a pruned ε the table depends on), not just its name."""
+        dense = run_experiments(["e2"], fast=True, jobs=1)[0]
+        with use_backend(BackendConfig("sparse", epsilon=0.05)):
+            seq = run_experiments(["e2"], fast=True, jobs=1)[0]
+            par = run_experiments(["e2"], fast=True, jobs=2)[0]
+        assert seq.table.rows != dense.table.rows
+        assert par.table.rows == seq.table.rows
+        assert par.backend == seq.backend == "sparse"
 
     def test_old_artifacts_read_as_dense(self):
         report = BenchReport(

@@ -24,7 +24,7 @@ import oracles
 from repro.analysis.capacity import greedy_max_feasible_subset
 from repro.core.context import clear_context_cache
 from repro.core.feasibility import is_feasible_partition
-from repro.core.gains import backend_scope
+from repro.core.gains import BackendConfig, use_backend
 from repro.core.instance import Direction, Instance
 from repro.geometry.line import LineMetric
 from repro.instances.line_instances import equispaced_line_instance
@@ -221,7 +221,7 @@ def test_scheduler_matches_oracle(
     bit-for-bit (randomized ones with identical seeds) on every
     lossless gain backend."""
     instance = GRID[instance_name]
-    with backend_scope(backend):
+    with use_backend(BackendConfig(backend)):
         schedule = SCHEDULERS[scheduler_name](instance, np.random.default_rng(99))
         if scheduler_name in ORACLE_RUNS:
             powers = SquareRootPower()(instance)
