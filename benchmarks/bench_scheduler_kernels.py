@@ -40,25 +40,33 @@ The script exits non-zero when the first-fit speedup at the largest
 acceptance gate — or when the stacked local-search speedup over the
 looped reference does (the PR-9 gate; ``--ls-batch-pairs 0`` disables
 that row).  ``--aux-sizes`` bounds the other (ungated, slower)
-workloads.  The artifact is labelled ``full`` when the run covers the
+workloads.  Two more ungated rows, ``first_fit_sparse`` and
+``sqrt_sparse``, time the stored-column-entry kernels on the ε=0.05
+sparse backend at ``--sparse-n`` (default 8192, the sinrbench
+``solve_large`` size and geometry; gain build excluded; ``0`` skips
+them).  The artifact is labelled ``full`` when the run covers the
 default sizes (first-fit n >= 1024, aux n >= 256, B >= 32 stacked
-local-search pairs) and ``smoke`` otherwise.
+local-search pairs, sparse n >= 8192) and ``smoke`` otherwise.
 
 Reference results (one run, default sizes, 2-vCPU / 7 GB Linux VM;
-the committed ``benchmarks/artifacts/BENCH_sched_kernels.json``)::
+the committed ``benchmarks/artifacts/BENCH_sched_kernels.json``; the
+VM ran both sides about 1.9x slower than for the previous artifact,
+e.g. the first-fit reference at n=1024 took 1382 ms against 728 ms)::
 
     workload               n    reference      kernel   speedup
-    first_fit             64        4.1 ms      2.6 ms      1.6x
-    first_fit            256       41.5 ms     11.0 ms      3.8x
-    first_fit           1024      727.8 ms     84.0 ms      8.7x
-    peeling               64        5.9 ms      4.3 ms      1.4x
-    peeling              256      135.5 ms     50.4 ms      2.7x
-    local_search          64        3.5 ms      2.0 ms      1.7x
-    local_search         256       66.6 ms     10.9 ms      6.1x
-    sqrt                  64        5.4 ms      4.8 ms      1.1x
-    sqrt                 256       74.3 ms     45.7 ms      1.6x
-    first_fit_batch4     256       41.7 ms     24.9 ms      1.7x
-    local_search_batch32 1024   23913.6 ms   1726.9 ms     13.8x
+    first_fit             64        7.7 ms      4.8 ms      1.6x
+    first_fit            256       82.0 ms     20.4 ms      4.0x
+    first_fit           1024     1382.3 ms    162.7 ms      8.5x
+    peeling               64        9.4 ms      7.6 ms      1.2x
+    peeling              256      199.0 ms     71.6 ms      2.8x
+    local_search          64        4.8 ms      2.8 ms      1.7x
+    local_search         256       86.9 ms     15.7 ms      5.5x
+    sqrt                  64        6.7 ms      7.3 ms      0.9x
+    sqrt                 256       96.9 ms     58.5 ms      1.7x
+    first_fit_batch4     256       53.6 ms     32.1 ms      1.7x
+    local_search_batch32  1024  50535.6 ms   3116.7 ms     16.2x
+    first_fit_sparse    8192     1581.4 ms    649.6 ms      2.4x
+    sqrt_sparse         8192            -    1318.1 ms         -
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ import numpy as np
 
 from repro.core.batch import ContextBatch
 from repro.core.context import clear_context_cache, get_context
+from repro.core.gains import BackendConfig, use_backend
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.runner.artifacts import BenchReport, ShardResult, write_artifact
@@ -91,6 +100,9 @@ peeling_module = importlib.import_module("repro.scheduling.peeling")
 sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
 
 GATED_WORKLOAD = "first_fit"
+
+#: Pruning tolerance of the ungated sparse rows (sinrbench's solve_large).
+SPARSE_EPSILON = 0.05
 
 
 def _warm(instance, powers):
@@ -177,9 +189,43 @@ def _workloads():
     }
 
 
+def _sparse_rows(n, seed):
+    """``first_fit_sparse`` and ``sqrt_sparse`` rows at size *n*."""
+    instance = random_uniform_instance(
+        n,
+        side=2.0 * float(np.sqrt(n)),
+        max_link_fraction=min(1.0, 2.0 / float(np.sqrt(n))),
+        direction="directed",
+        rng=seed,
+    )
+    powers = SquareRootPower()(instance)
+    clear_context_cache()
+    config = BackendConfig("sparse", epsilon=SPARSE_EPSILON)
+    with use_backend(config):
+        # Build the gains outside the timers (first-fit's fixed powers
+        # and sqrt_coloring's square-root powers are the same vector,
+        # so both runs share this context).
+        get_context(instance, powers).backend
+        t_kernel, kernel = _time(lambda: first_fit_schedule(instance, powers))
+        t_reference, reference = _time(
+            lambda: oracles.first_fit_accumulator(instance, powers)
+        )
+        assert np.array_equal(kernel.colors, reference.colors), (
+            f"first_fit_sparse outputs diverged at n={n}"
+        )
+        t_sqrt, _ = _time(
+            lambda: sqrt_coloring(instance, rng=3, use_lp=False)
+        )
+    clear_context_cache()
+    return [
+        ("first_fit_sparse", n, t_reference, t_kernel, t_reference / t_kernel),
+        ("sqrt_sparse", n, None, t_sqrt, None),
+    ]
+
+
 def run(
     sizes, aux_sizes, target, batch_pairs=4, ls_batch_pairs=32, seed=7,
-    artifacts=None,
+    artifacts=None, sparse_n=8192,
 ):
     run_start = time.perf_counter()
     workloads = _workloads()
@@ -281,11 +327,17 @@ def run(
     if ls_row is not None:
         rows.append(ls_row)
 
+    # Sparse rows (ungated): the stored-entry kernels on an ε-pruned
+    # backend at the sinrbench solve_large scale, build excluded.
+    if sparse_n > 0:
+        rows.extend(_sparse_rows(sparse_n, seed))
+
     print(f"{'workload':<18} {'n':>5} {'reference':>12} {'kernel':>11} {'speedup':>9}")
     for name, n, reference, kernel, speedup in rows:
+        ref = "-" if reference is None else f"{reference * 1e3:.1f} ms"
+        gain = "-" if speedup is None else f"{speedup:.1f}x"
         print(
-            f"{name:<18} {n:>5} {reference * 1e3:>10.1f} ms {kernel * 1e3:>8.1f} ms "
-            f"{speedup:>8.1f}x"
+            f"{name:<18} {n:>5} {ref:>13} {kernel * 1e3:>8.1f} ms {gain:>9}"
         )
 
     if artifacts is not None:
@@ -307,6 +359,15 @@ def run(
             "reference = accumulator/subset-rebuild/per-round-rebuild-peel "
             "paths from tests/oracles.py; outputs asserted bit-identical"
         )
+        if sparse_n > 0:
+            table.add_note(
+                f"ungated: first_fit_sparse and sqrt_sparse run the kernels "
+                f"on the sparse backend (epsilon={SPARSE_EPSILON}, "
+                f"n={sparse_n}, gain build excluded); first_fit_sparse's "
+                "reference is the ClassAccumulator scan on the same "
+                "backend, sqrt_sparse has none (the per-round-rebuild "
+                "peel does not finish at this size)"
+            )
         shards = []
         for name, n, reference, kernel, speedup in rows:
             table.add_row(
@@ -321,7 +382,7 @@ def run(
                     key=f"{name}:n={n}",
                     seed=seed,
                     rows=1,
-                    seconds=reference + kernel,
+                    seconds=(reference or 0.0) + kernel,
                 )
             )
         report = BenchReport(
@@ -333,6 +394,7 @@ def run(
                 and aux_sizes
                 and aux_sizes[-1] >= 256
                 and ls_batch_pairs >= 32
+                and sparse_n >= 8192
                 else "smoke"
             ),
             table=table,
@@ -403,6 +465,15 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
+        "--sparse-n",
+        type=int,
+        default=8192,
+        help=(
+            "size of the ungated first_fit_sparse / sqrt_sparse rows "
+            "(0 disables them)"
+        ),
+    )
+    parser.add_argument(
         "--artifacts",
         metavar="DIR",
         default=None,
@@ -418,6 +489,7 @@ def main(argv=None) -> int:
         batch_pairs=args.batch_pairs,
         ls_batch_pairs=args.ls_batch_pairs,
         artifacts=args.artifacts,
+        sparse_n=args.sparse_n,
     )
 
 

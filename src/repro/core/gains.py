@@ -2,7 +2,8 @@
 
 Everything the interference engine computes reduces to a handful of
 access patterns on the gain matrices ``G_u``/``G_v`` — single columns
-(what one transmitter does to everyone), bulk column gathers (seeding a
+(what one transmitter does to everyone, dense or as the stored
+``(rows, values)`` entries the scheduler kernels walk), bulk column gathers (seeding a
 class), square sub-blocks (LP sub-problems), cross blocks (pairwise
 gains of a selection at new candidates), tiled sub-block row sums
 (subset interference / peel initialization, without materializing the
@@ -35,7 +36,10 @@ Numerical contract
 
 Sparse primitives gather the stored entries into dense scratch buffers
 of the **same shape** the dense primitive returns (pruned entries
-appear as ``0.0``) and callers apply the same reductions — so with
+appear as ``0.0``) and callers apply the same reductions; the one
+exception, :meth:`GainBackend.column_entries`, lists only the stored
+entries of a column, and its callers touch nothing else because adding
+or comparing an absent ``0.0`` changes no value.  So with
 ``epsilon = 0`` (the default, which drops only exact zeros) every
 downstream value is bit-identical to the dense backend, and the whole
 test suite passes unchanged under ``REPRO_BACKEND=sparse``.
@@ -93,6 +97,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -554,6 +559,15 @@ def validate_growth(
         )
 
 
+@lru_cache(maxsize=8)
+def _all_rows(n: int) -> np.ndarray:
+    """Read-only ``arange(n)``: the row list of a column that stores
+    every row (:meth:`GainBackend.column_entries` on dense storage)."""
+    rows = np.arange(n)
+    rows.setflags(write=False)
+    return rows
+
+
 class GainBackend(abc.ABC):
     """Access protocol for one pair of endpoint gain matrices.
 
@@ -653,6 +667,22 @@ class GainBackend(abc.ABC):
     @abc.abstractmethod
     def col_v(self, j: int) -> np.ndarray:
         """Column ``G_v[:, j]``."""
+
+    @abc.abstractmethod
+    def column_entries(
+        self, j: int, side: str = "u"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored entries of column ``G_side[:, j]`` as ``(rows,
+        values)`` (*side* is ``"u"`` or ``"v"``; the directed ``"v"``
+        column is the ``"u"`` one).
+
+        *rows* are unique and ascending, and every row not listed holds
+        an exact zero, so a kernel that updates or tests only the listed
+        rows makes the same decisions as one that scans the dense
+        column.  Pruned storage lists only its kept entries (about
+        ``density * n``); dense storage lists every row.  Both arrays
+        are read-only views or scratch the caller must not mutate.
+        """
 
     @abc.abstractmethod
     def row_u(self, i: int) -> np.ndarray:
@@ -999,6 +1029,12 @@ class DenseBackend(GainBackend):
     def col_v(self, j: int) -> np.ndarray:
         return self.gains_vt[j]
 
+    def column_entries(
+        self, j: int, side: str = "u"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        gains_t = self.gains_ut if side == "u" else self.gains_vt
+        return _all_rows(self.n), gains_t[j]
+
     def row_u(self, i: int) -> np.ndarray:
         return self._gains_u[i]
 
@@ -1265,6 +1301,12 @@ class ArrayBackend(GainBackend):
 
     def col_v(self, j: int) -> np.ndarray:
         return self._download(self._transposes()[1][int(j), :])
+
+    def column_entries(
+        self, j: int, side: str = "u"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        col = self.col_u(j) if side == "u" else self.col_v(j)
+        return _all_rows(self.n), col
 
     def row_u(self, i: int) -> np.ndarray:
         return self._download(self._arr_u[int(i), :])
@@ -1563,13 +1605,17 @@ class _PendingBlock:
         return total
 
 
-def _csr_cell(csr: "_sp.csr_matrix", row: int, col: int) -> float:
-    """One stored entry of a (sorted) CSR, ``0.0`` when absent."""
-    lo, hi = csr.indptr[row], csr.indptr[row + 1]
-    pos = lo + np.searchsorted(csr.indices[lo:hi], col)
-    if pos < hi and csr.indices[pos] == col:
-        return float(csr.data[pos])
-    return 0.0
+def _csr_col(csr: "_sp.csr_matrix", col: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stored entries of column *col* of a row-major CSR with sorted
+    indices, as ``(rows, values)`` (one binary search per row)."""
+    rows, values = [], []
+    for row in range(csr.shape[0]):
+        lo, hi = csr.indptr[row], csr.indptr[row + 1]
+        pos = lo + np.searchsorted(csr.indices[lo:hi], col)
+        if pos < hi and csr.indices[pos] == col:
+            rows.append(row)
+            values.append(csr.data[pos])
+    return np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=float)
 
 
 class SparseBackend(GainBackend):
@@ -1606,6 +1652,10 @@ class SparseBackend(GainBackend):
     ):
         self.flip_risk_events = 0
         self.epsilon = float(epsilon)
+        # Row lookups binary-search the stored column indices.
+        for csr in (csr_u, csr_v):
+            if not csr.has_canonical_format:
+                csr.sum_duplicates()
         self._csr_u = csr_u
         self._csr_v = csr_v
         self._csr_ut = csr_u.T.tocsr()
@@ -1825,6 +1875,34 @@ class SparseBackend(GainBackend):
         out[csr.indices[lo:hi]] = csr.data[lo:hi]
         return out
 
+    def _row_entries(self, base, pend, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Stored entries of row ``i`` of base + pending, without
+        consolidating, as ``(cols, values)`` in ascending column order:
+        the base row (or, for an arrival, its own full bottom row),
+        then the right strips of every later block."""
+        cols, values = [], []
+        if i < base.shape[0]:
+            lo, hi = base.indptr[i], base.indptr[i + 1]
+            cols.append(base.indices[lo:hi])
+            values.append(base.data[lo:hi])
+        for blk in pend:
+            if i < blk.start:
+                # The arrivals' columns at a pre-existing row.
+                lo, hi = blk.right.indptr[i], blk.right.indptr[i + 1]
+                cols.append(blk.start + blk.right.indices[lo:hi])
+                values.append(blk.right.data[lo:hi])
+            elif i < blk.start + blk.k:
+                # The arrival's own full row (covers all earlier cols).
+                r = i - blk.start
+                lo, hi = blk.bottom.indptr[r], blk.bottom.indptr[r + 1]
+                cols.append(blk.bottom.indices[lo:hi])
+                values.append(blk.bottom.data[lo:hi])
+        if len(cols) == 1:
+            return cols[0], values[0]
+        if not cols:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        return np.concatenate(cols), np.concatenate(values)
+
     def _grown_row(self, base, pend, i: int) -> np.ndarray:
         """Row ``i`` of base + pending, without consolidating.
 
@@ -1833,41 +1911,62 @@ class SparseBackend(GainBackend):
         single-row path of live admission never forces a flush.
         """
         out = np.zeros(self._n)
-        base_n = base.shape[0]
-        if i < base_n:
-            lo, hi = base.indptr[i], base.indptr[i + 1]
-            out[base.indices[lo:hi]] = base.data[lo:hi]
-        for blk in pend:
-            if i < blk.start:
-                # The arrivals' columns at a pre-existing row.
-                lo, hi = blk.right.indptr[i], blk.right.indptr[i + 1]
-                out[blk.start + blk.right.indices[lo:hi]] = (
-                    blk.right.data[lo:hi]
-                )
-            elif i < blk.start + blk.k:
-                # The arrival's own full row (covers all earlier cols).
-                r = i - blk.start
-                lo, hi = blk.bottom.indptr[r], blk.bottom.indptr[r + 1]
-                out[blk.bottom.indices[lo:hi]] = blk.bottom.data[lo:hi]
+        cols, values = self._row_entries(base, pend, i)
+        out[cols] = values
         return out
 
-    def _grown_col(self, base_t, pend, j: int) -> np.ndarray:
-        """Column ``j`` of base + pending (see :meth:`_grown_row`)."""
-        out = np.zeros(self._n)
-        base_n = base_t.shape[0]
-        if j < base_n:
+    def _grown_col_entries(
+        self, base_t, pend, j: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stored entries of column ``j`` of base + pending, without
+        consolidating (see :meth:`_grown_row`).  The pieces cover
+        disjoint row ranges and are appended in ascending row order:
+        the base column (rows below the base size) or the arrival's
+        right strip (rows below its block), then the bottom strips of
+        its own and every later block."""
+        rows, values = [], []
+        if j < base_t.shape[0]:
             lo, hi = base_t.indptr[j], base_t.indptr[j + 1]
-            out[base_t.indices[lo:hi]] = base_t.data[lo:hi]
+            rows.append(base_t.indices[lo:hi])
+            values.append(base_t.data[lo:hi])
         for blk in pend:
             if blk.start <= j < blk.start + blk.k:
                 # What arrival j induces at every pre-existing request.
                 r = j - blk.start
                 lo, hi = blk.right_t.indptr[r], blk.right_t.indptr[r + 1]
-                out[blk.right_t.indices[lo:hi]] = blk.right_t.data[lo:hi]
+                rows.append(blk.right_t.indices[lo:hi])
+                values.append(blk.right_t.data[lo:hi])
             if blk.start + blk.k > j:
                 # These arrivals' rows cover column j.
-                for r in range(blk.bottom.shape[0]):
-                    out[blk.start + r] = _csr_cell(blk.bottom, r, j)
+                hit_rows, hit_values = _csr_col(blk.bottom, j)
+                rows.append(blk.start + hit_rows)
+                values.append(hit_values)
+        if not rows:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        return np.concatenate(rows), np.concatenate(values)
+
+    def column_entries(
+        self, j: int, side: str = "u"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A slice of the transposed CSR (views of its index and data
+        arrays); with pending growth blocks the pieces are read in
+        place, so a grown backend answers without a flush."""
+        j = int(j)
+        base_t, pend = (
+            (self._csr_ut, self._pend_u)
+            if side == "u"
+            else (self._csr_vt, self._pend_v)
+        )
+        if pend:
+            return self._grown_col_entries(base_t, pend, j)
+        lo, hi = base_t.indptr[j], base_t.indptr[j + 1]
+        return base_t.indices[lo:hi], base_t.data[lo:hi]
+
+    def _grown_col(self, base_t, pend, j: int) -> np.ndarray:
+        """Column ``j`` of base + pending, scattered dense."""
+        out = np.zeros(self._n)
+        rows, values = self._grown_col_entries(base_t, pend, j)
+        out[rows] = values
         return out
 
     def col_u(self, j: int) -> np.ndarray:
@@ -1912,21 +2011,25 @@ class SparseBackend(GainBackend):
             if which_u
             else (self._csr_v, self._pend_v)
         )
-        if pend:
-            rows = np.asarray(rows, dtype=int)
-            if rows.size > 64:
-                # Bulk query (peel init, class analysis): consolidate
-                # once instead of scattering thousands of rows.
-                self.flush_growth()
-            else:
-                # Admission-path query (a handful of arrival rows):
-                # assemble from base + pending.  Pure gather of the
-                # same stored values, so bit-identical to flushing.
-                cols = np.asarray(cols, dtype=int)
-                out = np.empty((rows.size, cols.size))
-                for pos, i in enumerate(rows):
-                    out[pos] = self._grown_row(base, pend, int(i))[cols]
-                return out
+        rows = np.asarray(rows, dtype=int)
+        if rows.size <= 64:
+            # A handful of rows (admission, exact peel margins): look
+            # every column up in each row's sorted stored entries, read
+            # from base + pending without consolidating.  Pure gather of
+            # the same stored values, so bit-identical to slicing.
+            cols = np.asarray(cols, dtype=int)
+            out = np.zeros((rows.size, cols.size))
+            for pos, i in enumerate(rows):
+                stored, values = self._row_entries(base, pend, int(i))
+                if stored.size == 0:
+                    continue
+                at = np.minimum(np.searchsorted(stored, cols), stored.size - 1)
+                hit = stored[at] == cols
+                out[pos, hit] = values[at[hit]]
+            return out
+        # Bulk query (peel init, class analysis): consolidate once
+        # instead of assembling thousands of rows.
+        self.flush_growth()
         csr = self._csr_u if which_u else self._csr_v
         return csr[rows][:, cols].toarray()
 

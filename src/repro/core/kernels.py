@@ -17,14 +17,21 @@ of vectorized passes:
   (:meth:`~ScheduleKernel.first_fit_admit`), and local-search moves
   become delta checks (:meth:`~ScheduleKernel.admissible_targets`) with
   snapshot/restore rollback instead of per-move subset rebuilds.
+  Admission, placement and removal walk only the request's **stored**
+  column entries (:meth:`~repro.core.gains.GainBackend.column_entries`:
+  about ``density * n`` rows on pruned storage, every row on dense
+  storage) plus O(C) class state — a member outside those rows keeps
+  its own-class interference, so its verdict is a maintained flag.
 * :func:`peel_max_feasible_subset` — the greedy peeling primitive on
-  incrementally maintained interference sums: **identical** decisions
-  to :meth:`InterferenceContext.greedy_max_feasible_subset` at O(k)
-  vectorized work per round (subtract the victim's gain column, rescan
-  margins) instead of the reference's O(k²) block recompute — O(k²)
-  total versus O(k³).  Decisions that land inside the
-  :data:`PEEL_RISK_RTOL` band of their boundary are re-resolved with
-  fresh reference-order row sums and counted as risk events.
+  incrementally maintained interference sums and margins:
+  **identical** decisions to
+  :meth:`InterferenceContext.greedy_max_feasible_subset` at one argmin,
+  one band count and an update at the victim column's stored rows per
+  round, instead of the reference's O(k²) block recompute — O(k² +
+  stored column entries) total versus O(k³).  Decisions that land
+  inside the :data:`PEEL_RISK_RTOL` band of their boundary are
+  re-resolved with fresh reference-order row sums and counted as risk
+  events.
 * :func:`stacked_first_fit` — the first-fit kernel over stacked
   ``(B, n, n)`` gains, scheduling a whole
   :class:`~repro.core.batch.ContextBatch` of same-shape instances in
@@ -203,6 +210,32 @@ def _resolve(
     return np.where(ninf > 0, np.inf, values)
 
 
+#: Index of "every row" (or every candidate position): a column that
+#: stores every entry is read and written through contiguous views.
+_ALL = slice(None)
+
+
+def _merge_sides(
+    entries: List[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """One column's ``(keys, values)`` entries per endpoint on a shared
+    key list: ``(keys, [values per endpoint])`` with an endpoint's
+    absent keys reading ``0.0`` (the union, sorted, when the endpoints'
+    keys differ)."""
+    keys = entries[0][0]
+    if len(entries) == 1 or keys is entries[1][0] or np.array_equal(
+        keys, entries[1][0]
+    ):
+        return keys, [values for _, values in entries]
+    keys = np.union1d(keys, entries[1][0])
+    spread = []
+    for side_keys, side_values in entries:
+        full = np.zeros(keys.size)
+        full[np.searchsorted(keys, side_keys)] = side_values
+        spread.append(full)
+    return keys, spread
+
+
 class ScheduleKernel:
     """Dense multi-class interference state for one schedule-in-progress.
 
@@ -214,8 +247,13 @@ class ScheduleKernel:
     emptied-class cases stay exact).  On top of the per-class rows it
     keeps per-request *own-class* state (each placed request's entry of
     its own class row, maintained bitwise-equal), so member-side
-    admission checks run as one ``(n,)`` broadcast instead of a Python
-    loop over classes.
+    admission checks need no Python loop over classes.  A request's
+    gain column is read as its stored entries only
+    (:meth:`~repro.core.gains.GainBackend.column_entries`): placement
+    and removal update the class row and the own-class state at those
+    rows, and admission tests members at those rows while every other
+    member's verdict comes from flags maintained against the limits
+    array in use — O(stored entries + C) per call instead of O(n).
 
     Parameters
     ----------
@@ -275,6 +313,19 @@ class ScheduleKernel:
             self._own_fin_v = np.zeros(n)
             self._own_ninf_v = np.zeros(n, dtype=np.int64)
             self._own_npos_v = np.zeros(n, dtype=np.int64)
+        # Member-side admission state against the limits array of the
+        # last first_fit_admit call whose column missed some rows (see
+        # _bind_limits): per placed request, is its own-class
+        # interference already over its limit ("over"), or within its
+        # pruned-mass band of it ("near"), plus per-class member counts
+        # of both.  A candidate's column then only needs testing at its
+        # stored rows; every other member's verdict is the maintained
+        # flag.  Storage whose columns hold every row never binds.
+        self._limits: Optional[np.ndarray] = None
+        self._over = np.zeros(0, dtype=bool)
+        self._near = np.zeros(0, dtype=bool)
+        self._over_count = np.zeros(cap, dtype=np.int64)
+        self._near_count = np.zeros(cap, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Construction / introspection
@@ -367,6 +418,10 @@ class ScheduleKernel:
             self._fin_v = enlarge(self._fin_v)
             self._ninf_v = enlarge(self._ninf_v)
             self._npos_v = enlarge(self._npos_v)
+        for name in ("_over_count", "_near_count"):
+            counts = np.zeros(new_cap, dtype=np.int64)
+            counts[:cap] = getattr(self, name)
+            setattr(self, name, counts)
 
     def extend_to(self, n_new: int) -> None:
         """Grow the kernel to a context that has grown to *n_new*
@@ -438,6 +493,7 @@ class ScheduleKernel:
         colors[:n_old] = self._colors
         self._colors = colors
         self._n = n_new
+        self._limits = None  # the member flags rebind at the next admission
         tail = np.arange(n_old, n_new)
         backend = self._backend
         for fin, ninf, npos, cross_block in (
@@ -463,10 +519,11 @@ class ScheduleKernel:
                 break
 
     def _endpoint_rows(self):
-        # gather_cols materializes bulk column gathers (for pairwise
-        # column sums), col single columns in cache-friendly layout;
-        # both come from the gain backend, so the same kernel runs on
-        # dense and sparse gains with identical values.
+        # Per endpoint: the class rows, the own-class state, the bulk
+        # column gather (pairwise column sums for seeding) and the side
+        # name for single-column entries; both come from the gain
+        # backend, so the same kernel runs on every storage with
+        # identical values.
         backend = self._backend
         yield (
             self._fin_u,
@@ -476,7 +533,7 @@ class ScheduleKernel:
             self._own_ninf_u,
             self._own_npos_u,
             backend.gather_cols_u,
-            backend.col_u,
+            0,
         )
         if not self._directed:
             yield (
@@ -487,8 +544,22 @@ class ScheduleKernel:
                 self._own_ninf_v,
                 self._own_npos_v,
                 backend.gather_cols_v,
-                backend.col_v,
+                1,
             )
+
+    def _column(self, request: int) -> Tuple[object, List[np.ndarray]]:
+        """Request *request*'s gain column as ``(rows, [values per
+        endpoint])`` over its stored rows (the union of both endpoints'
+        rows when undirected; an endpoint's absent rows read ``0.0``).
+        Every row outside *rows* holds a zero in both columns; a column
+        storing every row comes back as :data:`_ALL`."""
+        backend = self._backend
+        entries = [backend.column_entries(request, "u")]
+        if not self._directed:
+            entries.append(backend.column_entries(request, "v"))
+        rows, values = _merge_sides(entries)
+        # Ascending unique rows: n of them are every row, in order.
+        return (_ALL if rows.size == self._n else rows), values
 
     def _bulk_seed(self, color: int, members: np.ndarray) -> None:
         """Seed class *color* with *members* in one vectorized pass
@@ -520,11 +591,44 @@ class ScheduleKernel:
         self._sizes.append(0)
         return color
 
+    def _apply_column(
+        self, color: int, rows: np.ndarray, values: List[np.ndarray], sign: int
+    ) -> np.ndarray:
+        """Add (``sign=+1``) or subtract a request's gain column — given
+        at its stored *rows* — to class *color*'s rows and to the
+        own-class entries of the class's members among *rows*; returns
+        those members' rows.  Absent rows would add an exact zero, so
+        skipping them leaves every value bitwise what the full-length
+        update computes."""
+        op = np.add if sign > 0 else np.subtract
+        at_peers = np.flatnonzero(self._colors[rows] == color)
+        peers = at_peers if rows is _ALL else rows[at_peers]
+        for fin, ninf, npos, own_fin, own_ninf, own_npos, _, side in (
+            self._endpoint_rows()
+        ):
+            column = values[side]
+            if self._finite:
+                d_fin = column
+                d_pos = column > 0
+            else:
+                finite = np.isfinite(column)
+                d_fin = np.where(finite, column, 0.0)
+                d_inf = ~finite
+                d_pos = finite & (column > 0)
+                ninf[color, rows] = op(ninf[color, rows], d_inf)
+                own_ninf[peers] = op(own_ninf[peers], d_inf[at_peers])
+            fin[color, rows] = op(fin[color, rows], d_fin)
+            npos[color, rows] = op(npos[color, rows], d_pos)
+            own_fin[peers] = op(own_fin[peers], d_fin[at_peers])
+            own_npos[peers] = op(own_npos[peers], d_pos[at_peers])
+        return peers
+
     def add(self, request: int, color: int) -> None:
-        """Place *request* into class *color* — O(n).
+        """Place *request* into class *color* — O(stored column entries).
 
         The class row accumulates the request's gain column with the
-        exact operations ``ClassAccumulator.add`` uses, so kernel and
+        exact operations ``ClassAccumulator.add`` uses (at the column's
+        stored rows; the others would add an exact zero), so kernel and
         accumulator state stay bitwise equal under the same insertion
         sequence.
         """
@@ -534,42 +638,28 @@ class ScheduleKernel:
             raise ValueError(f"request {request} is already placed")
         if not 0 <= color < len(self._sizes):
             raise ValueError(f"class {color} is not open")
-        peers = self._colors == color
-        for fin, ninf, npos, own_fin, own_ninf, own_npos, _, col in (
+        rows, values = self._column(request)
+        peers = self._apply_column(color, rows, values, +1)
+        # The newcomer's own-class entry is an exact copy of its row
+        # cell (its peers' updates above never touch it: the gain
+        # diagonal is zero but the copy keeps this correct even so).
+        for fin, ninf, npos, own_fin, own_ninf, own_npos, _, _ in (
             self._endpoint_rows()
         ):
-            column = col(request)
-            if self._finite:
-                add_pos = column > 0
-                np.add(fin[color], column, out=fin[color])
-                np.add(npos[color], add_pos, out=npos[color])
-                np.add(own_fin, column, out=own_fin, where=peers)
-                np.add(own_npos, add_pos, out=own_npos, where=peers)
-            else:
-                finite = np.isfinite(column)
-                add_fin = np.where(finite, column, 0.0)
-                add_inf = ~finite
-                add_pos = finite & (column > 0)
-                np.add(fin[color], add_fin, out=fin[color])
-                np.add(ninf[color], add_inf, out=ninf[color])
-                np.add(npos[color], add_pos, out=npos[color])
-                np.add(own_fin, add_fin, out=own_fin, where=peers)
-                np.add(own_ninf, add_inf, out=own_ninf, where=peers)
-                np.add(own_npos, add_pos, out=own_npos, where=peers)
-            # The newcomer's own-class entry is an exact copy of its row
-            # cell (its peers' updates above never touch it: the gain
-            # diagonal is zero but the copy keeps this correct even so).
             own_fin[request] = fin[color, request]
             own_ninf[request] = ninf[color, request]
             own_npos[request] = npos[color, request]
         self._colors[request] = color
         self._sizes[color] += 1
+        if self._limits is not None:
+            self._refresh_flags(color, np.append(peers, request))
 
     def remove(self, request: int) -> int:
-        """Remove *request* from its class — O(n); returns the class.
+        """Remove *request* from its class — O(stored column entries);
+        returns the class.
 
         Exact for shared-node members (infinite counts) and for emptied
-        classes (rows reset to exact zero), mirroring
+        classes (rows reset to exact zero, O(n)), mirroring
         ``ClassAccumulator.remove``.
         """
         request = int(request)
@@ -578,37 +668,26 @@ class ScheduleKernel:
             raise ValueError(f"request {request} is not placed")
         self._colors[request] = -1
         self._sizes[color] -= 1
-        emptied = self._sizes[color] == 0
-        peers = self._colors == color
-        for fin, ninf, npos, own_fin, own_ninf, own_npos, _, col in (
-            self._endpoint_rows()
-        ):
-            if emptied:
+        if self._limits is not None:
+            self._over_count[color] -= self._over[request]
+            self._near_count[color] -= self._near[request]
+            self._over[request] = False
+            self._near[request] = False
+        if self._sizes[color] == 0:
+            for fin, ninf, npos, _, _, _, _, _ in self._endpoint_rows():
                 fin[color].fill(0.0)
                 ninf[color].fill(0)
                 npos[color].fill(0)
-            else:
-                column = col(request)
-                if self._finite:
-                    sub_pos = column > 0
-                    np.subtract(fin[color], column, out=fin[color])
-                    np.subtract(npos[color], sub_pos, out=npos[color])
-                    np.subtract(own_fin, column, out=own_fin, where=peers)
-                    np.subtract(own_npos, sub_pos, out=own_npos, where=peers)
-                else:
-                    finite = np.isfinite(column)
-                    sub_fin = np.where(finite, column, 0.0)
-                    sub_inf = ~finite
-                    sub_pos = finite & (column > 0)
-                    np.subtract(fin[color], sub_fin, out=fin[color])
-                    np.subtract(ninf[color], sub_inf, out=ninf[color])
-                    np.subtract(npos[color], sub_pos, out=npos[color])
-                    np.subtract(own_fin, sub_fin, out=own_fin, where=peers)
-                    np.subtract(own_ninf, sub_inf, out=own_ninf, where=peers)
-                    np.subtract(own_npos, sub_pos, out=own_npos, where=peers)
+            peers = None
+        else:
+            rows, values = self._column(request)
+            peers = self._apply_column(color, rows, values, -1)
+        for _, _, _, own_fin, own_ninf, own_npos, _, _ in self._endpoint_rows():
             own_fin[request] = 0.0
             own_ninf[request] = 0
             own_npos[request] = 0
+        if peers is not None and self._limits is not None:
+            self._refresh_flags(color, peers)
         return color
 
     def move(self, request: int, color: int) -> None:
@@ -630,10 +709,84 @@ class ScheduleKernel:
             ninf[count - 1].fill(0)
             npos[color : count - 1] = npos[color + 1 : count]
             npos[count - 1].fill(0)
+        for counts in (self._over_count, self._near_count):
+            counts[color : count - 1] = counts[color + 1 : count]
+            counts[count - 1] = 0
         self._sizes.pop(color)
         np.subtract(
             self._colors, 1, out=self._colors, where=self._colors > color
         )
+
+    # ------------------------------------------------------------------
+    # Member-side admission flags
+    # ------------------------------------------------------------------
+
+    def _own_parts(self, rows) -> List[np.ndarray]:
+        """Resolved own-class interference per endpoint at *rows*."""
+        parts = [
+            _resolve(
+                self._own_fin_u[rows],
+                self._own_ninf_u[rows],
+                self._own_npos_u[rows],
+                self._finite,
+            )
+        ]
+        if not self._directed:
+            parts.append(
+                _resolve(
+                    self._own_fin_v[rows],
+                    self._own_ninf_v[rows],
+                    self._own_npos_v[rows],
+                    self._finite,
+                )
+            )
+        return parts
+
+    def _flags_at(self, rows) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(over, near)`` at *rows*, read as placed members: own-class
+        interference over the limit, or over it once the pruned-mass
+        bound is added (``near`` is ``None`` on lossless storage) — the
+        member-side comparisons :meth:`first_fit_admit` makes for a
+        candidate whose column is zero at these rows.  (Rounding is
+        monotone, so testing the worse endpoint decides both.)"""
+        parts = self._own_parts(rows)
+        worst = parts[0] if self._directed else np.maximum(*parts)
+        limits = self._limits[rows]
+        over = worst > limits
+        if self._pruned is None:
+            return over, None
+        return over, worst + self._pruned[rows] > limits
+
+    def _bind_limits(self, limits: np.ndarray) -> None:
+        """Recompute the member flags and per-class counts for a new
+        *limits* array — one O(n) pass, taken when the array object
+        changes; the flags are then maintained by :meth:`add` and
+        :meth:`remove` at the rows they touch."""
+        self._limits = limits
+        over, near = self._flags_at(_ALL)
+        placed = self._colors >= 0
+        cap = self._fin_u.shape[0]
+        self._over = over & placed
+        self._over_count = np.bincount(self._colors[self._over], minlength=cap)
+        if near is None:
+            self._near = np.zeros(self._n, dtype=bool)
+        else:
+            self._near = near & placed
+        self._near_count = np.bincount(self._colors[self._near], minlength=cap)
+
+    def _refresh_flags(self, color: int, rows: np.ndarray) -> None:
+        """Re-evaluate the flags of class *color*'s members at *rows*
+        after their own-class state changed."""
+        over, near = self._flags_at(rows)
+        self._over_count[color] += np.count_nonzero(over) - np.count_nonzero(
+            self._over[rows]
+        )
+        self._over[rows] = over
+        if near is not None:
+            self._near_count[color] += np.count_nonzero(
+                near
+            ) - np.count_nonzero(self._near[rows])
+            self._near[rows] = near
 
     # ------------------------------------------------------------------
     # Snapshot / rollback
@@ -693,6 +846,7 @@ class ScheduleKernel:
             arr[count:].fill(0)
         for arr, saved in zip(self._own_arrays(), state["own"]):
             arr[:] = saved
+        self._limits = None  # the member flags rebind at the next admission
 
     # ------------------------------------------------------------------
     # Vectorized admission checks
@@ -725,11 +879,17 @@ class ScheduleKernel:
         *limits*, or ``-1``.
 
         *limits* is the per-request tolerance-scaled budget array
-        (``budget * (1 + rtol)``).  One vectorized pass evaluates the
-        candidate-budget check for **all** classes and the member-budget
-        delta check for **all** placed requests; decisions are
+        (``budget * (1 + rtol)``).  The candidate-budget check reads
+        the O(C) class rows at *request*; the member-budget check adds
+        the request's gain column at its stored rows only (O(stored
+        entries)) and takes every other member's verdict from flags
+        maintained against *limits* — a member already over its limit
+        vetoes its class, as a full scan would.  Decisions are
         bit-identical to scanning the classes one
-        :class:`ClassAccumulator` at a time.
+        :class:`ClassAccumulator` at a time.  The flags are rebuilt
+        (O(n)) whenever *limits* is a different array object from the
+        one they were built for, so pass the same array, unmodified,
+        for a whole run.
 
         On a pruned (sparse) backend every interference value is a
         conservative under-estimate, so rejections here are always
@@ -746,43 +906,40 @@ class ScheduleKernel:
         count = len(self._sizes)
         if count == 0:
             return -1
-        cand_u = _resolve(
-            self._fin_u[:count, request],
-            self._ninf_u[:count, request],
-            self._npos_u[:count, request],
-            self._finite,
-        )
-        if self._directed:
-            cand = cand_u
-        else:
-            cand_v = _resolve(
-                self._fin_v[:count, request],
-                self._ninf_v[:count, request],
-                self._npos_v[:count, request],
-                self._finite,
-            )
-            cand = np.maximum(cand_u, cand_v)
+        cand = self.class_interference(request)
         admit = ~(cand > limits[request])
-        if not np.any(admit):
+        if not admit.any():
             return -1
-        placed = self._colors >= 0
-        own_u = _resolve(
-            self._own_fin_u, self._own_ninf_u, self._own_npos_u, self._finite
-        )
-        new_u = own_u + self._backend.col_u(request)
-        viol = placed & (new_u > limits)
-        if self._directed:
-            new_v = new_u
-        else:
-            own_v = _resolve(
-                self._own_fin_v, self._own_ninf_v, self._own_npos_v, self._finite
-            )
-            new_v = own_v + self._backend.col_v(request)
-            viol |= placed & (new_v > limits)
-        if np.any(viol):
-            bad = np.bincount(self._colors[viol], minlength=count)[:count] > 0
+        rows, values = self._column(request)
+        # Members off the column's rows keep their own-class
+        # interference: their verdicts are the maintained flags, bound
+        # to this limits array on the first column that needs them.
+        off_rows = rows is not _ALL
+        if off_rows and limits is not self._limits:
+            self._bind_limits(limits)
+        lim = limits[rows]
+        row_colors = self._colors[rows]
+        own = self._own_parts(rows)
+        # Worst endpoint after the request joins (rounding is monotone,
+        # so this decides both endpoints' comparisons).
+        new = own[0] + values[0]
+        if not self._directed:
+            np.maximum(new, own[1] + values[1], out=new)
+        viol = new > lim
+        viol &= row_colors >= 0
+        # Vetoes: members at the column's rows whose new interference
+        # breaks the limit, plus members elsewhere already over it.
+        bad = None
+        if viol.any():
+            bad = np.bincount(row_colors[viol], minlength=count)[:count] > 0
+        if off_rows and self._over_count[:count].any():
+            elsewhere = self._over_count[:count] - np.bincount(
+                row_colors[self._over[rows]], minlength=count
+            )[:count]
+            bad = elsewhere > 0 if bad is None else bad | (elsewhere > 0)
+        if bad is not None:
             admit &= ~bad
-            if not np.any(admit):
+            if not admit.any():
                 return -1
         choice = int(np.argmax(admit))
         if self._pruned is not None:
@@ -794,13 +951,13 @@ class ScheduleKernel:
             pruned = self._pruned
             risky = bool(cand[choice] + pruned[request] > limits[request])
             if not risky:
-                members = np.flatnonzero(self._colors == choice)
-                lim = limits[members]
-                pru = pruned[members]
-                band = new_u[members] + pru > lim
-                if not self._directed:
-                    band |= new_v[members] + pru > lim
-                risky = bool(np.any(band))
+                members = row_colors == choice
+                risky = bool(
+                    (new[members] + pruned[rows][members] > lim[members]).any()
+                )
+            if not risky and off_rows:
+                near_here = np.count_nonzero(self._near[rows] & members)
+                risky = bool(self._near_count[choice] > near_here)
             if risky:
                 self.flip_risk_events += 1
                 self._backend.flip_risk_events += 1
@@ -904,7 +1061,7 @@ def first_fit_colors_sharded(
     """First-fit admission over a distributed gain backend, batched.
 
     The admission loop's only remote data dependency is the candidate's
-    gain columns (``col_u``/``col_v`` in
+    gain column entries (``column_entries`` in
     :meth:`ScheduleKernel.first_fit_admit` and :meth:`ScheduleKernel.add`);
     every budget comparison runs against parent-resident accumulators.
     So the driver walks *order* in windows of *window* requests,
@@ -954,12 +1111,13 @@ def peel_max_feasible_subset(
     :meth:`InterferenceContext.greedy_max_feasible_subset`.
 
     This runs the **incremental** peel: per-candidate
-    interference sums are maintained under subtraction as requests are
-    peeled (O(n) per round instead of an O(k²) block re-sum, O(k·n +
-    k²) per full peel instead of O(k³)), victim selection is one
-    vectorized margin scan over the maintained sums per round, and on
-    a sparse backend the whole pass walks CSR rows/columns — no dense
-    ``(k, k)`` block is ever gathered.
+    interference sums and margins are maintained under subtraction as
+    requests are peeled — each round is one argmin and one risk-band
+    count over the k margins plus an update at the victim column's
+    stored rows (instead of an O(k²) block re-sum; O(k² + stored
+    column entries) per full peel instead of O(k³)) — and on a sparse
+    backend the whole pass walks CSR rows and column entries: no dense
+    ``(k, k)`` block and no dense ``(n,)`` column is ever built.
 
     Numerical contract
     ------------------
@@ -1012,6 +1170,16 @@ def _band(margin: float) -> float:
     return PEEL_RISK_RTOL * max(1.0, abs(margin))
 
 
+#: Multiple of ``k * 2**-52 * M`` that bounds how far a maintained
+#: interference sum over ``k`` candidates (row mass ``M``: the initial
+#: finite sum, which every later sum of a subset of its non-negative
+#: terms stays below) can sit from a fresh reference-order sum: ``k``
+#: for the initial sum, up to ``2k`` peel/re-add updates, ``k`` for the
+#: fresh sum itself, with a factor-two margin (``2**-52`` is twice the
+#: unit roundoff).
+_DRIFT_TERMS = 4
+
+
 def _incremental_peel(
     context: InterferenceContext,
     idx: np.ndarray,
@@ -1023,16 +1191,31 @@ def _incremental_peel(
     State per candidate position: the finite interference sum and the
     infinite-contribution count per endpoint (``inf - inf`` is ``nan``,
     so shared-node columns are tracked by count and resolved exactly,
-    like :func:`_resolve`).  Peeling subtracts the victim's gain column
-    from the maintained sums (O(n) per round); victim selection is a
-    vectorized margin scan over the maintained sums — O(k) NumPy work
-    per round instead of the reference's O(k^2) block recompute.  (A
-    lazy min-heap was tried first and lost badly: every removal shifts
-    every member's margin, so every key goes stale every round and the
-    per-entry Python revalidation costs more than one vectorized
-    scan.)  Any decision within the :data:`PEEL_RISK_RTOL` band of its
-    boundary is resolved by fresh reference-order row sums and counted
-    as a risk event.
+    like :func:`_resolve`), and one margin array with every peeled
+    position set to ``+inf``.  A peel round is one argmin, one band
+    count and an update at the victim column's stored rows only (the
+    backend's :meth:`~repro.core.gains.GainBackend.column_entries`
+    mapped to candidate positions): the sums there drop by the
+    victim's gains and their margins are recomputed — the same
+    elementwise values a full rescan of the maintained sums yields.
+    Peeled positions keep receiving these updates, so each holds a
+    running estimate of its own interference from the current members.
+
+    A re-add attempt reads the candidate's column at its stored rows
+    (its effect on the members), maintained counts of members inside
+    the risk band or below the threshold outside it, and the
+    candidate's own running estimate.  That estimate sits within a
+    rounding bound of the fresh reference-order row sum, so the sum
+    itself is computed only when the bound straddles a decision
+    boundary or the re-add is accepted (the accepted position stores
+    the fresh sum, exactly as the from-scratch reference state would).
+
+    (A lazy min-heap was tried first and lost badly: every removal
+    shifts every member's margin, so every key goes stale every round
+    and the per-entry Python revalidation costs more than one
+    vectorized scan.)  Any decision within the :data:`PEEL_RISK_RTOL`
+    band of its boundary is resolved by fresh reference-order row sums
+    and counted as a risk event.
     """
     global _peel_risk_events
     beta_v = context.beta if beta is None else float(beta)
@@ -1044,6 +1227,10 @@ def _incremental_peel(
     k0 = idx.size
     has_inf = backend.has_infinite_gains
     sig = signals[idx]
+    n = backend.n
+    every = np.arange(k0)
+    pos_of = np.full(n, -1, dtype=np.intp)
+    pos_of[idx] = every
 
     def init_sums(row_sums_fn, cross_fn):
         if not has_inf:
@@ -1061,33 +1248,94 @@ def _incremental_peel(
             ninf[lo:hi] = (~finite).sum(axis=1)
         return fin, ninf
 
-    fin_u, ninf_u = init_sums(backend.row_sums_u, backend.cross_block_u)
-    if directed:
-        fin_v, ninf_v = fin_u, ninf_u
-    else:
-        fin_v, ninf_v = init_sums(backend.row_sums_v, backend.cross_block_v)
+    sides = ["u"] if directed else ["u", "v"]
+    fins, ninfs, cross = [], [], []
+    for side in sides:
+        cross_fn = backend.cross_block_u if side == "u" else backend.cross_block_v
+        row_sums_fn = backend.row_sums_u if side == "u" else backend.row_sums_v
+        fin, ninf = init_sums(row_sums_fn, cross_fn)
+        fins.append(fin)
+        ninfs.append(ninf)
+        cross.append(cross_fn)
+    # Rounding bound on each position's running estimate (see
+    # _DRIFT_TERMS); the initial sums bound every later one.
+    drift = [
+        _DRIFT_TERMS * (k0 + 2) * 2.0**-52 * np.maximum(fin, 0.0)
+        for fin in fins
+    ]
 
-    endpoint_state = (
-        ((fin_u, ninf_u, backend.col_u, backend.row_u),)
-        if directed
-        else (
-            (fin_u, ninf_u, backend.col_u, backend.row_u),
-            (fin_v, ninf_v, backend.col_v, backend.row_v),
-        )
-    )
+    def column_at(g: int) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Request *g*'s stored column entries at candidate positions:
+        ``(positions, [values per endpoint])``, positions unique
+        (:data:`_ALL` when the column reaches every candidate)."""
+        per_side = []
+        for side in sides:
+            rows, values = backend.column_entries(g, side)
+            if rows.size == n:
+                # A column storing every row reaches every position.
+                per_side.append((every, values[idx]))
+                continue
+            pos = pos_of[rows]
+            hit = pos >= 0
+            per_side.append((pos[hit], values[hit]))
+        positions, values = _merge_sides(per_side)
+        return (_ALL if positions is every else positions), values
 
-    def margins_vec() -> np.ndarray:
-        """Current incremental margins for all positions, vectorized.
+    def apply(positions: np.ndarray, values: List[np.ndarray], op) -> None:
+        for fin, ninf, vals in zip(fins, ninfs, values):
+            if ninf is None:
+                fin[positions] = op(fin[positions], vals)
+            else:
+                finite = np.isfinite(vals)
+                fin[positions] = op(
+                    fin[positions], np.where(finite, vals, 0.0)
+                )
+                ninf[positions] = op(ninf[positions], ~finite)
 
-        Inactive positions carry stale sums; callers mask them out.
-        """
+    def margins_at(positions, values: Optional[List[np.ndarray]] = None):
+        """Margins at *positions* from the maintained sums (plus a
+        column's *values* when given) — the elementwise formula of a
+        full-length rescan."""
         interf: Optional[np.ndarray] = None
-        for fin, ninf, _, _ in endpoint_state:
-            part = np.maximum(fin, 0.0)
-            if ninf is not None:
-                part = np.where(ninf > 0, np.inf, part)
+        for side, (fin, ninf) in enumerate(zip(fins, ninfs)):
+            if values is None:
+                s_fin = fin[positions]
+                s_ninf = None if ninf is None else ninf[positions]
+            else:
+                vals = values[side]
+                if ninf is None:
+                    s_fin = fin[positions] + vals
+                    s_ninf = None
+                else:
+                    finite = np.isfinite(vals)
+                    s_fin = fin[positions] + np.where(finite, vals, 0.0)
+                    s_ninf = ninf[positions] + ~finite
+            part = np.maximum(s_fin, 0.0)
+            if s_ninf is not None:
+                part = np.where(s_ninf > 0, np.inf, part)
             interf = part if interf is None else np.maximum(interf, part)
-        return _margins_from(sig, interf, beta_v, noise)
+        return _margins_from(sig[positions], interf, beta_v, noise)
+
+    def refresh(positions) -> np.ndarray:
+        """Recompute the margins at *positions* after their sums
+        changed (peeled positions stay ``+inf``); returns them."""
+        fresh = np.where(active[positions], margins_at(positions), np.inf)
+        margins[positions] = fresh
+        return fresh
+
+    def scalar_margin(signal: float, interf: float) -> float:
+        if np.isinf(interf):
+            return 0.0
+        denom = beta_v * (interf + noise)
+        return signal / denom if denom > 0 else float("inf")
+
+    def fresh_row(g: int, members: np.ndarray) -> List[np.ndarray]:
+        """Row *g* over *members* per endpoint, gathered contiguous in
+        member order — the value sequence the reference reduces."""
+        if members.size == 0:
+            return [np.zeros(0) for _ in sides]
+        rows = np.asarray([g])
+        return [cross_fn(rows, members)[0] for cross_fn in cross]
 
     def exact_margin(g: int, member_globals: np.ndarray) -> float:
         """Fresh margin of request *g* among *member_globals*, summed
@@ -1096,16 +1344,26 @@ def _incremental_peel(
         (:meth:`InterferenceContext.greedy_max_feasible_subset`)
         reduces for this row."""
         interf = -np.inf
-        for _, _, _, row_fn in endpoint_state:
-            part = float(row_fn(g)[member_globals].sum())
+        for row in fresh_row(g, member_globals):
+            part = float(row.sum())
             if part > interf:
                 interf = part
-        if np.isinf(interf):
-            return 0.0
-        denom = beta_v * (interf + noise)
-        if denom > 0:
-            return float(signals[g]) / denom
-        return float("inf")
+        return scalar_margin(float(signals[g]), interf)
+
+    def fresh_interference(rows: List[np.ndarray]) -> float:
+        """Worst-endpoint interference from :func:`fresh_row` rows,
+        resolved like the maintained sums."""
+        interf = -np.inf
+        for row in rows:
+            if has_inf:
+                finite = np.isfinite(row)
+                if not finite.all():
+                    return np.inf
+                part = max(float(np.where(finite, row, 0.0).sum()), 0.0)
+            else:
+                part = max(float(row.sum()), 0.0)
+            interf = max(interf, part)
+        return interf
 
     def near(a: float, b: float) -> bool:
         if np.isinf(a) or np.isinf(b):
@@ -1114,43 +1372,44 @@ def _incremental_peel(
             return False
         return abs(a - b) <= PEEL_RISK_RTOL * max(1.0, abs(a), abs(b))
 
-    def subtract_column(g: int, active: np.ndarray) -> None:
-        for fin, ninf, col_fn, _ in endpoint_state:
-            vals = col_fn(g)[idx]
-            if ninf is None:
-                np.subtract(fin, vals, out=fin, where=active)
-            else:
-                finite = np.isfinite(vals)
-                np.subtract(
-                    fin, np.where(finite, vals, 0.0), out=fin, where=active
-                )
-                np.subtract(ninf, ~finite, out=ninf, where=active)
+    def classify(margins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(at_risk, below)``: inside the risk band of the threshold,
+        or below it outside the band (``+inf`` is neither)."""
+        tol = PEEL_RISK_RTOL * np.maximum(1.0, np.abs(margins))
+        at_risk = np.isfinite(margins) & (np.abs(margins - threshold) <= tol)
+        return at_risk, ~at_risk & ~(margins >= threshold)
+
+    def classify_one(margin: float) -> Tuple[bool, bool]:
+        """:func:`classify` of one margin (the same float operations)."""
+        at_risk = bool(np.isfinite(margin)) and abs(
+            margin - threshold
+        ) <= PEEL_RISK_RTOL * max(1.0, abs(margin))
+        return at_risk, not at_risk and not margin >= threshold
 
     active = np.ones(k0, dtype=bool)
     dropped: List[int] = []
     k = k0
     risk = 0
+    margins = margins_at(_ALL)
 
     # --- peel phase ---------------------------------------------------
     while k > 0:
-        m = margins_vec()
-        m[~active] = np.inf  # mask stale slots out of the argmin
-        p = int(np.argmin(m))
-        cur = float(m[p])
+        p = int(np.argmin(margins))
+        cur = float(margins[p])
         # If the minimum is inf, every active margin is inf as well, so
-        # the break below fires even when argmin lands on a masked slot.
+        # the break below fires even when argmin lands on a peeled slot.
         at_threshold = near(cur, threshold)
         if not at_threshold and cur >= threshold:
             break  # the minimum is certainly feasible -> all are
         # Contenders: every active entry whose margin lies within the
         # risk band of the decision boundary — the round minimum
         # (argmin ties), widened to the threshold when the stop/peel
-        # decision itself is at risk.
+        # decision itself is at risk.  Peeled slots hold +inf.
         bound = max(cur, threshold) if at_threshold else cur
         contenders = np.asarray([p])
         if np.isfinite(bound):
-            mask = active & (m <= bound + _band(bound))
-            if mask.sum() > 1:
+            mask = margins <= bound + _band(bound)
+            if np.count_nonzero(mask) > 1:
                 contenders = np.flatnonzero(mask)
         if at_threshold or contenders.size > 1:
             # Threshold-crossing or argmin-tie risk: resolve the
@@ -1169,91 +1428,102 @@ def _incremental_peel(
         g = int(idx[victim])
         dropped.append(g)
         active[victim] = False
+        margins[victim] = np.inf
         k -= 1
-        subtract_column(g, active)
+        positions, values = column_at(g)
+        apply(positions, values, np.subtract)
+        refresh(positions)
 
     # --- re-add phase -------------------------------------------------
     # Membership order matters for the exact-resolution sums: the
     # reference appends every accepted re-add at the end of its buffer.
     order_list = [int(g) for g in idx[active]]
-    pos_of = {int(g): pos for pos, g in enumerate(idx)}
+    in_band, below = classify(margins)
+    n_band = int(np.count_nonzero(in_band))
+    n_below = int(np.count_nonzero(below))
 
     for g in reversed(dropped):
-        pos = pos_of[g]
-        positions = np.flatnonzero(active)
-        member_globals = idx[positions]
-        trial_globals = np.asarray(order_list + [g], dtype=int)
-        mem_interf: Optional[np.ndarray] = None
-        req_interf = -np.inf
-        commits = []
-        for fin, ninf, col_fn, row_fn in endpoint_state:
-            col_all = col_fn(g)[idx]  # (k0,) by candidate position
-            colv = col_all[positions]
-            rowv = row_fn(g)[member_globals]
-            if ninf is None:
-                part = np.maximum(fin[positions] + colv, 0.0)
-                r_fin = float(rowv.sum())
-                r_ninf = 0
-            else:
-                cfin = np.isfinite(colv)
-                e_fin = fin[positions] + np.where(cfin, colv, 0.0)
-                e_ninf = ninf[positions] + (~cfin)
-                part = np.where(e_ninf > 0, np.inf, np.maximum(e_fin, 0.0))
-                rfinite = np.isfinite(rowv)
-                r_fin = float(np.where(rfinite, rowv, 0.0).sum())
-                r_ninf = int((~rfinite).sum())
-            commits.append((fin, ninf, col_all, r_fin, r_ninf))
-            r_part = np.inf if r_ninf > 0 else max(r_fin, 0.0)
-            mem_interf = (
-                part if mem_interf is None else np.maximum(mem_interf, part)
-            )
-            if r_part > req_interf:
-                req_interf = r_part
-        mem_margins = _margins_from(sig[positions], mem_interf, beta_v, noise)
-        if np.isinf(req_interf):
-            req_margin = 0.0
-        else:
-            denom = beta_v * (req_interf + noise)
-            req_margin = (
-                float(signals[g]) / denom if denom > 0 else float("inf")
-            )
-        margins_all = np.append(mem_margins, req_margin)
-        tol = PEEL_RISK_RTOL * np.maximum(1.0, np.abs(margins_all))
-        at_risk = np.isfinite(margins_all) & (
-            np.abs(margins_all - threshold) <= tol
+        pos = int(pos_of[g])
+        positions, values = column_at(g)
+        # The members' margins with g's column added, at its positions
+        # (peeled positions, g's own included, read as +inf).
+        live = active[positions]
+        t_band, t_below = classify(
+            np.where(live, margins_at(positions, values), np.inf)
         )
-        ok = bool(np.all(margins_all[~at_risk] >= threshold))
-        if np.any(at_risk):
+        band_count = (
+            n_band - int(np.count_nonzero(in_band[positions]))
+            + int(np.count_nonzero(t_band))
+        )
+        below_count = (
+            n_below - int(np.count_nonzero(below[positions]))
+            + int(np.count_nonzero(t_below))
+        )
+        # The candidate's own margin among the members: decided from
+        # its running estimate when the rounding bound keeps the whole
+        # interval on one side of every boundary, else fresh.
+        fresh = None
+        if below_count > 0 and band_count > 0:
+            req_band = req_below = False  # rejected and at risk either way
+        else:
+            if any(ninf is not None and ninf[pos] > 0 for ninf in ninfs):
+                req_lo = req_hi = np.inf
+            else:
+                req_lo = max(
+                    max(fin[pos] - err[pos], 0.0)
+                    for fin, err in zip(fins, drift)
+                )
+                req_hi = max(
+                    max(fin[pos] + err[pos], 0.0)
+                    for fin, err in zip(fins, drift)
+                )
+            signal = float(signals[g])
+            low = classify_one(scalar_margin(signal, req_hi))
+            if low == classify_one(scalar_margin(signal, req_lo)):
+                req_band, req_below = low
+            else:
+                fresh = fresh_row(g, idx[active])
+                req_band, req_below = classify_one(
+                    scalar_margin(signal, fresh_interference(fresh))
+                )
+        ok = below_count == 0 and not req_below
+        if band_count > 0 or req_band:
             risk += 1
             if ok:
-                for j in np.flatnonzero(at_risk):
-                    gq = (
-                        g
-                        if j == mem_margins.size
-                        else int(member_globals[j])
-                    )
+                trial_globals = np.asarray(order_list + [g], dtype=int)
+                trial_band = in_band.copy()
+                trial_band[positions] = t_band
+                suspects = [int(idx[q]) for q in np.flatnonzero(trial_band)]
+                if req_band:
+                    suspects.append(g)
+                for gq in suspects:
                     if exact_margin(gq, trial_globals) < threshold:
                         ok = False
                         break
         if ok:
-            for fin, ninf, col_all, r_fin, r_ninf in commits:
+            if fresh is None:
+                fresh = fresh_row(g, idx[active])
+            apply(positions, values, np.add)
+            for fin, ninf, row in zip(fins, ninfs, fresh):
                 if ninf is None:
-                    np.add(fin, col_all, out=fin, where=active)
+                    fin[pos] = float(row.sum())
                 else:
-                    cfin = np.isfinite(col_all)
-                    np.add(
-                        fin,
-                        np.where(cfin, col_all, 0.0),
-                        out=fin,
-                        where=active,
-                    )
-                    np.add(ninf, ~cfin, out=ninf, where=active)
-                fin[pos] = r_fin
-                if ninf is not None:
-                    ninf[pos] = r_ninf
+                    finite = np.isfinite(row)
+                    fin[pos] = float(np.where(finite, row, 0.0).sum())
+                    ninf[pos] = int((~finite).sum())
             active[pos] = True
             order_list.append(g)
             k += 1
+            for changed in (positions, [pos]):
+                c_band, c_below = classify(refresh(changed))
+                n_band += int(np.count_nonzero(c_band)) - int(
+                    np.count_nonzero(in_band[changed])
+                )
+                n_below += int(np.count_nonzero(c_below)) - int(
+                    np.count_nonzero(below[changed])
+                )
+                in_band[changed] = c_band
+                below[changed] = c_below
 
     _peel_risk_events += risk
     return np.asarray(sorted(order_list), dtype=int)

@@ -21,10 +21,12 @@ per-shard work plus one merge in shard order:
   shard, so the parent partitions the row set by owner, every shard
   reduces its own rows, and results scatter back into caller order.
 * columns — column ``j`` crosses every shard; one broadcast returns
-  each shard's sparse slice ``(local_rows, values)`` and the parent
-  scatters them into a dense ``(n,)`` buffer.  Admission asks for the
-  same column up to four times (candidate check + placement, both
-  endpoints), so fetched columns land in a small parent-side cache and
+  each shard's stored entries of the requested columns and the parent
+  interleaves them into each column's global ``(rows, values)``
+  entries (:meth:`~repro.core.gains.GainBackend.column_entries`).
+  Admission asks for the same column up to four times (candidate
+  check + placement, both endpoints), so fetched columns land in a
+  small parent-side cache and
   :meth:`ShardedBackend.prefetch_columns` fetches a whole admission
   *window* in one round trip (see
   :func:`repro.core.kernels.first_fit_colors_sharded`).
@@ -170,21 +172,25 @@ class GainShard:
 
     def columns(
         self, js: np.ndarray
-    ) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
-        """Sparse column slices for each requested ``j``: per endpoint,
-        ``(local_row_indices, values)`` of ``G[lo:hi, j]``.  Directed
-        shards return the single endpoint once (the parent aliases)."""
-        out: List[List[Tuple[np.ndarray, np.ndarray]]] = []
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The shard's stored entries of ``G[lo:hi, j]`` for every
+        requested ``j``, per endpoint as ``(counts, rows, values)``:
+        the entries of all columns concatenated in request order with
+        ``counts[i]`` of them for ``js[i]``, *rows* already global.
+        Directed shards return the single endpoint once (the parent
+        aliases)."""
+        js = np.asarray(js, dtype=int)
         endpoints = ("u",) if self._directed else ("u", "v")
-        for j in np.asarray(js, dtype=int):
-            per_endpoint = []
-            for endpoint in endpoints:
-                blk_t = self._blk_t[endpoint]
-                lo, hi = blk_t.indptr[j], blk_t.indptr[j + 1]
-                per_endpoint.append(
-                    (blk_t.indices[lo:hi].copy(), blk_t.data[lo:hi].copy())
-                )
-            out.append(per_endpoint)
+        out = []
+        for endpoint in endpoints:
+            blk_t = self._blk_t[endpoint]
+            starts = blk_t.indptr[js]
+            counts = blk_t.indptr[js + 1] - starts
+            firsts = np.cumsum(counts) - counts
+            take = np.repeat(starts - firsts, counts) + np.arange(counts.sum())
+            out.append(
+                (counts, blk_t.indices[take] + self.lo, blk_t.data[take])
+            )
         return out
 
     def expand_rows(
@@ -268,6 +274,27 @@ def _close_executor(executor: ShardExecutor) -> None:
         pass
 
 
+class _CachedColumn:
+    """One parent-side column cache entry: the stored ``(rows,
+    values)`` per endpoint, plus the dense ``(n,)`` column scattered
+    from them on first :meth:`ShardedBackend.col_u`/``col_v`` use."""
+
+    __slots__ = ("entries", "_dense")
+
+    def __init__(self, entries: List[Tuple[np.ndarray, np.ndarray]]):
+        self.entries = entries
+        self._dense: List[Optional[np.ndarray]] = [None, None]
+
+    def dense(self, side: int, n: int) -> np.ndarray:
+        if self._dense[side] is None:
+            rows, values = self.entries[side]
+            column = np.zeros(n)
+            column[rows] = values
+            column.setflags(write=False)
+            self._dense[side] = column
+        return self._dense[side]
+
+
 class ShardedBackend(GainBackend):
     """The :class:`~repro.core.gains.GainBackend` protocol over ``W``
     block-row shards hosted by a
@@ -280,8 +307,8 @@ class ShardedBackend(GainBackend):
 
     name = "sharded"
 
-    #: Parent-side column cache entries (each is O(n) floats per
-    #: endpoint).  Sized for a couple of admission windows.
+    #: Parent-side column cache entries (each holds a column's stored
+    #: entries per endpoint).  Sized for a couple of admission windows.
     COLUMN_CACHE_LIMIT = 256
 
     def __init__(
@@ -308,9 +335,7 @@ class ShardedBackend(GainBackend):
         self._has_inf = any(bool(m["has_inf"]) for m in metas)
         self._nnz = sum(int(m["nnz"]) for m in metas)
         self._nbytes = sum(int(m["nbytes"]) for m in metas)
-        self._col_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
+        self._col_cache: "OrderedDict[int, _CachedColumn]" = OrderedDict()
         self._finalizer = weakref.finalize(self, _close_executor, executor)
 
     @classmethod
@@ -411,13 +436,17 @@ class ShardedBackend(GainBackend):
     # -- column cache / halo fetch -------------------------------------
 
     def prefetch_columns(self, js: np.ndarray) -> None:
-        """Fetch the columns of every request in *js* (both endpoints)
-        in **one** round trip over the shards and cache them.
+        """Fetch the stored column entries of every request in *js*
+        (both endpoints) in **one** round trip over the shards and
+        cache them.
 
         The sharded first-fit driver calls this once per admission
-        window; the per-request :meth:`col_u`/:meth:`col_v` hits are
-        then parent-local, so a window of B admissions costs one
-        round trip instead of up to ``4 B``.
+        window; the per-request :meth:`column_entries` hits are then
+        parent-local, so a window of B admissions costs one round trip
+        instead of up to ``4 B``.  Each shard replies with its entries
+        of the whole window; the parent interleaves them per column in
+        shard order (ascending rows), so a cached column is a view of
+        its stored entries, not a dense ``(n,)`` buffer.
         """
         js = np.asarray(js, dtype=int)
         missing = np.array(
@@ -426,30 +455,47 @@ class ShardedBackend(GainBackend):
         if missing.size == 0:
             return
         parts = self._executor.broadcast("columns", missing)
+        sides = []
+        for side in range(1 if self._directed else 2):
+            # Interleave the shards' replies column by column: column i
+            # takes worker 0's entries, then worker 1's, ... (ascending
+            # global rows), at offsets[i]:offsets[i + 1].
+            counts = np.stack([part[side][0] for part in parts])
+            totals = counts.sum(axis=0)
+            offsets = np.concatenate([[0], np.cumsum(totals)])
+            before = np.cumsum(counts, axis=0) - counts
+            rows = np.empty(int(offsets[-1]), dtype=np.intp)
+            values = np.empty(int(offsets[-1]))
+            for worker, (w_counts, w_rows, w_values) in enumerate(
+                part[side] for part in parts
+            ):
+                firsts = np.cumsum(w_counts) - w_counts
+                dest = np.repeat(
+                    offsets[:-1] + before[worker] - firsts, w_counts
+                ) + np.arange(w_rows.size)
+                rows[dest] = w_rows
+                values[dest] = w_values
+            rows.setflags(write=False)
+            values.setflags(write=False)
+            sides.append((rows, values, offsets))
         for pos, j in enumerate(missing):
-            col_u = np.zeros(self._n)
-            col_v = col_u if self._directed else np.zeros(self._n)
-            for worker, (lo, _hi) in enumerate(self._bounds):
-                slices = parts[worker][pos]
-                idx, vals = slices[0]
-                col_u[lo + idx] = vals
-                if not self._directed:
-                    idx, vals = slices[1]
-                    col_v[lo + idx] = vals
-            col_u.setflags(write=False)
-            col_v.setflags(write=False)
-            self._cache_put(int(j), (col_u, col_v))
+            entries = [
+                (rows[offsets[pos] : offsets[pos + 1]],
+                 values[offsets[pos] : offsets[pos + 1]])
+                for rows, values, offsets in sides
+            ]
+            if self._directed:
+                entries.append(entries[0])
+            self._cache_put(int(j), _CachedColumn(entries))
 
-    def _cache_put(
-        self, j: int, cols: Tuple[np.ndarray, np.ndarray]
-    ) -> None:
+    def _cache_put(self, j: int, column: "_CachedColumn") -> None:
         cache = self._col_cache
-        cache[j] = cols
+        cache[j] = column
         cache.move_to_end(j)
         while len(cache) > self.COLUMN_CACHE_LIMIT:
             cache.popitem(last=False)
 
-    def _cached_cols(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _cached_column(self, j: int) -> "_CachedColumn":
         j = int(j)
         entry = self._col_cache.get(j)
         if entry is None:
@@ -461,11 +507,18 @@ class ShardedBackend(GainBackend):
 
     # -- primitives ----------------------------------------------------
 
+    def column_entries(
+        self, j: int, side: str = "u"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return self._cached_column(j).entries[0 if side == "u" else 1]
+
     def col_u(self, j: int) -> np.ndarray:
-        return self._cached_cols(j)[0]
+        return self._cached_column(j).dense(0, self._n)
 
     def col_v(self, j: int) -> np.ndarray:
-        return self._cached_cols(j)[1]
+        if self._directed:
+            return self.col_u(j)
+        return self._cached_column(j).dense(1, self._n)
 
     def _owner(self, i: int) -> int:
         return int(np.searchsorted(self._starts, i, side="right") - 1)

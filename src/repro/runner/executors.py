@@ -175,14 +175,25 @@ class SerialShardExecutor(ShardExecutor):
         self._actors = None
 
 
-def _pipe_worker_main(conn, factory, payload):  # pragma: no cover - child
-    """Child-process loop: build the actor, answer calls until EOF.
+def _pipe_worker_main(conn):  # pragma: no cover - child
+    """Child-process loop: receive ``(factory, payload)``, build the
+    actor, answer calls until EOF.
 
-    Runs in the worker process (coverage does not see it).  Errors
-    raised by actor methods are reported back as ``("err", ...)`` —
-    they are deterministic and must surface in the parent, never
-    trigger a respawn.
+    Runs in the worker process (coverage does not see it).  The build
+    message arrives over the pipe rather than in the spawn arguments,
+    so the parent's ``Process.start`` never waits for this child to
+    import its modules (see :meth:`ProcessShardExecutor._launch`).
+    Errors raised by actor methods are reported back as
+    ``("err", ...)`` — they are deterministic and must surface in the
+    parent, never trigger a respawn.
     """
+    try:
+        message = conn.recv()
+    except _TRANSPORT_ERRORS:
+        return
+    if message is None:  # closed before the build message was sent
+        return
+    factory, payload = message
     try:
         actor = factory(payload)
     except BaseException as exc:  # noqa: BLE001 - reported to parent
@@ -270,12 +281,19 @@ class ProcessShardExecutor(ShardExecutor):
     # -- lifecycle -----------------------------------------------------
 
     def _launch(self, worker: int) -> None:
-        """Start worker ``worker``'s process; its actor builds in the
-        background until :meth:`_handshake` collects the result."""
+        """Start worker ``worker``'s process, passing only its pipe.
+
+        The spawn arguments are written into a pipe the child drains
+        only as it unpickles them, after importing the target's module
+        (numpy, scipy, repro).  A large payload among them (about
+        590 KB for an n=8192 shard) would block ``proc.start()`` until
+        that import finished, so the W imports would run one after
+        another; :meth:`_send_build` ships the payload once every
+        worker is launched instead."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pipe_worker_main,
-            args=(child_conn, self._factory, self._payloads[worker]),
+            args=(child_conn,),
             daemon=True,
             name=f"repro-shard-{worker}",
         )
@@ -283,6 +301,16 @@ class ProcessShardExecutor(ShardExecutor):
         child_conn.close()
         self._conns[worker] = parent_conn
         self._procs[worker] = proc
+
+    def _send_build(self, worker: int) -> None:
+        """Send a launched worker its ``(factory, payload)``; its actor
+        then builds in the background until :meth:`_handshake`
+        collects the result."""
+        self._conns[worker].send((self._factory, self._payloads[worker]))
+
+    def _relaunch(self, worker: int) -> None:
+        self._launch(worker)
+        self._send_build(worker)
 
     def _handshake(self, worker: int) -> None:
         """Wait for a launched worker's build: surfaces pickling/build
@@ -306,8 +334,9 @@ class ProcessShardExecutor(ShardExecutor):
     def start(
         self, factory: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> None:
-        """Launch every worker first, then collect the build handshakes
-        in worker order, so the W actor builds overlap.  A failed start
+        """Launch every worker first, then send each its build message,
+        then collect the build handshakes in worker order, so the W
+        interpreter imports and actor builds overlap.  A failed start
         closes the executor: no worker outlives it."""
         if self._factory is not None:
             raise RuntimeError("executor already started")
@@ -327,6 +356,13 @@ class ProcessShardExecutor(ShardExecutor):
                 except _TRANSPORT_ERRORS:
                     pass  # relaunched under the retry policy below
             for worker in range(self._workers):
+                if self._procs[worker] is None:
+                    continue
+                try:
+                    self._send_build(worker)
+                except _TRANSPORT_ERRORS:
+                    self._reap(worker)  # relaunched below
+            for worker in range(self._workers):
                 self._spawn_with_retry(
                     worker, launched=self._procs[worker] is not None
                 )
@@ -339,13 +375,14 @@ class ProcessShardExecutor(ShardExecutor):
         dies while *building* (e.g. OOM-killed mid-construction) is
         reaped and relaunched like any other transport failure;
         deterministic build errors surface immediately.  With
-        *launched*, the first attempt's process is already running."""
+        *launched*, the first attempt's process is already running
+        and has been sent its build message."""
         policy = self._retry
         failures = 0
         while True:
             try:
                 if not launched:
-                    self._launch(worker)
+                    self._relaunch(worker)
                 launched = False
                 self._handshake(worker)
                 return
@@ -418,7 +455,7 @@ class ProcessShardExecutor(ShardExecutor):
 
     def _ensure_alive(self, worker: int) -> None:
         if self._conns[worker] is None:
-            self._launch(worker)
+            self._relaunch(worker)
             self._handshake(worker)
 
     def _attempt(self, worker: int, method: str, args: Tuple[Any, ...]) -> Any:

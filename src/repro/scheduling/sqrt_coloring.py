@@ -26,9 +26,13 @@ The repair (step 3) and thinning (step 4) passes are the hot path;
 they run through :func:`greedy_max_feasible_subset`, which executes on
 the incremental peel kernel
 (:func:`repro.core.kernels.peel_max_feasible_subset`) — identical
-peeling decisions from maintained interference sums, O(k) vectorized
-work per round instead of re-gathering an O(k²) gain block (tolerance-window decisions are re-resolved exactly and
-surfaced as ``peel_risk_events`` in the result provenance).
+peeling decisions from maintained interference sums and margins: one
+argmin and one band count per round plus an update at the peeled
+request's stored column entries
+(:meth:`repro.core.gains.GainBackend.column_entries`), instead of
+re-gathering an O(k²) gain block.  Tolerance-window decisions are
+re-resolved exactly and surfaced as ``peel_risk_events`` in the result
+provenance.
 """
 
 from __future__ import annotations

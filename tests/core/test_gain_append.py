@@ -281,3 +281,45 @@ class TestValidateGrowth:
         with pytest.raises(ValueError, match="metric"):
             validate_growth(small, power(big)[: small.n], other,
                             SquareRootPower()(other))
+
+
+@pytest.mark.parametrize("direction", ["directed", "bidirectional"])
+def test_pending_blocks_answer_columns_and_rows_without_a_flush(direction):
+    """A grown sparse backend answers column entries, dense rows and
+    columns and few-row cross blocks from base + pending blocks — the
+    admission path — with a cold build's values and no consolidation."""
+    small, rng = _base(6, direction, rng_seed=19)
+    instances = [small]
+    for size in (7, 8, 11):
+        instances.append(_grown(instances[-1], size, rng))
+    big = instances[-1]
+    powers = SquareRootPower()(big)
+    grown = SparseBackend.build(small, powers[: small.n], epsilon=0.0)
+    for inst in instances[1:]:
+        grown.append_requests(inst, powers[: inst.n])
+    assert grown._pend_u  # still pending
+    cold = SparseBackend.build(big, powers, epsilon=0.0)
+    n = big.n
+    for side, gains_t, gains in (
+        ("u", cold.dense_ut(), cold.dense_u()),
+        ("v", cold.dense_vt(), cold.dense_v()),
+    ):
+        for j in range(n):
+            rows, values = grown.column_entries(j, side)
+            assert np.all(np.diff(rows) > 0)
+            column = np.zeros(n)
+            column[rows] = values
+            np.testing.assert_array_equal(column, gains_t[j])
+            np.testing.assert_array_equal(
+                getattr(grown, f"col_{side}")(j), gains_t[j]
+            )
+            np.testing.assert_array_equal(
+                getattr(grown, f"row_{side}")(j), gains[j]
+            )
+        picked = np.array([0, n - 1, 3, 7])
+        cols = np.array([5, 0, n - 1, 5, 8, 2])
+        np.testing.assert_array_equal(
+            getattr(grown, f"cross_block_{side}")(picked, cols),
+            gains[np.ix_(picked, cols)],
+        )
+    assert grown._pend_u  # answered without consolidating

@@ -637,3 +637,103 @@ class TestContextKernelHelpers:
                 assert context.gains_vt is context.gains_ut
             with pytest.raises(ValueError):
                 context.gains_ut[0, 0] = 1.0
+
+
+# ----------------------------------------------------------------------
+# Stored-entry (CSR-native) admission and peel
+# ----------------------------------------------------------------------
+
+
+class TestStoredColumnEntries:
+    def test_sparse_runs_build_no_dense_column(self, monkeypatch):
+        """First-fit, sharded first-fit and the sqrt_coloring peel walk
+        stored column entries: no dense ``(n,)`` column is scattered
+        (cf. ``test_peel_avoids_block_gathers``)."""
+        from repro.api import Problem
+        from repro.core.gains import SparseBackend
+        from repro.distributed.sharded import ShardedBackend
+
+        def _boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a kernel built a dense gain column")
+
+        instance = random_uniform_instance(96, rng=31)
+        clear_context_cache()
+        session = Problem(
+            instance, backend="sparse", sparse_epsilon=0.05
+        ).session()
+        session.context  # build the backend before patching
+        for cls, attrs in (
+            (SparseBackend, ("_expand_row", "col_u", "col_v")),
+            (ShardedBackend, ("col_u", "col_v")),
+        ):
+            for attr in attrs:
+                monkeypatch.setattr(cls, attr, _boom)
+        ff = session.schedule("first_fit")
+        sharded = session.schedule(
+            "first_fit_sharded", workers=2, executor="serial"
+        )
+        session.schedule("sqrt_coloring", rng=3, use_lp=False)
+        np.testing.assert_array_equal(
+            sharded.schedule.colors, ff.schedule.colors
+        )
+        clear_context_cache()
+
+    @pytest.mark.parametrize("epsilon", [None, 0.3])
+    def test_member_over_limit_vetoes_its_class(self, epsilon):
+        """A coloring seeded with members already over their limits:
+        each still vetoes its class for a candidate whose column is zero
+        at that member, exactly like a full scan of every member."""
+        from repro.core.gains import BackendConfig, use_backend
+
+        instance = random_uniform_instance(48, rng=13)
+        powers = SquareRootPower()(instance)
+        config = (
+            BackendConfig("dense")
+            if epsilon is None
+            else BackendConfig("sparse", epsilon=epsilon)
+        )
+        clear_context_cache()
+        with use_backend(config):
+            context = get_context(instance, powers)
+        backend = context.backend
+        limits = context.budgets() * (1.0 + 1e-9)
+        colors = np.full(instance.n, -1)
+        colors[:24] = np.arange(24) % 2  # two crowded classes
+        kernel = ScheduleKernel.from_colors(context, colors)
+        gains_u, gains_v = backend.dense_u(), backend.dense_v()
+
+        def own(gains):
+            return np.asarray(
+                [gains[i, colors == colors[i]].sum() for i in range(24)]
+            )
+
+        own_u, own_v = own(gains_u), own(gains_v)
+        assert np.any(np.maximum(own_u, own_v) > limits[:24])
+        vetoed_elsewhere = 0
+        for request in range(24, instance.n):
+            expected = -1
+            for color in range(2):
+                members = np.flatnonzero(colors == color)
+                cand = max(
+                    gains_u[request, members].sum(),
+                    gains_v[request, members].sum(),
+                )
+                if cand > limits[request]:
+                    continue
+                new_u = own_u[members] + gains_u[members, request]
+                new_v = own_v[members] + gains_v[members, request]
+                if np.any(np.maximum(new_u, new_v) > limits[members]):
+                    blind = (gains_u[members, request] == 0) & (
+                        gains_v[members, request] == 0
+                    )
+                    over = np.maximum(own_u, own_v)[members] > limits[members]
+                    vetoed_elsewhere += bool(np.any(blind & over))
+                    continue
+                expected = color
+                break
+            assert kernel.first_fit_admit(request, limits) == expected
+        if epsilon is not None:
+            # The pruned columns leave over-limit members off some
+            # candidates' stored rows: the maintained flags decided.
+            assert vetoed_elsewhere > 0
+        clear_context_cache()

@@ -146,6 +146,41 @@ class TestGridConformance:
         _both_ways(ctx, candidates=[2, 0])
 
 
+class TestReAddEstimates:
+    """A re-add decides the candidate's own margin from its running
+    interference estimate unless the estimate's rounding bound
+    straddles a boundary, then from the fresh row sum.  Widening the
+    bound so that every re-add takes the fresh sum must change no
+    subset and no risk count."""
+
+    @pytest.mark.parametrize(
+        "direction", [Direction.DIRECTED, Direction.BIDIRECTIONAL]
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_fresh_sum_everywhere_decides_the_same(
+        self, monkeypatch, direction, epsilon
+    ):
+        from repro.core import kernels
+
+        def runs():
+            clear_context_cache()
+            reset_peel_events()
+            out = []
+            with use_backend(BackendConfig("sparse", epsilon=epsilon)):
+                for seed in range(6):
+                    inst = random_uniform_instance(
+                        40, rng=seed, direction=direction
+                    ).with_gain(2.0)
+                    ctx = get_context(inst, SquareRootPower()(inst))
+                    out.append(peel_max_feasible_subset(ctx).tolist())
+            return out, peel_risk_events()
+
+        estimated = runs()
+        monkeypatch.setattr(kernels, "_DRIFT_TERMS", 1e300)
+        assert runs() == estimated
+        assert any(len(subset) < 40 for subset in estimated[0])
+
+
 class TestPropertyConformance:
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Unit tests for the ShardExecutor abstraction (serial + process)."""
 
+import hashlib
 import multiprocessing
 import os
 import pathlib
@@ -69,6 +70,20 @@ def _die_once_factory(payload):
     if marker is not None and not os.path.exists(marker):
         pathlib.Path(marker).touch()
         os._exit(3)
+    return Counter(base)
+
+
+def _record_then_die_once_factory(payload):
+    """Log the payload each build attempt received (pid, digest, base);
+    the first attempt is SIGKILLed after logging, mid-build."""
+    log, blob, base = payload
+    if log is not None:
+        with open(log, "a") as fh:
+            digest = hashlib.sha256(blob).hexdigest()
+            fh.write(f"{os.getpid()} {digest} {base}\n")
+        with open(log) as fh:
+            if len(fh.readlines()) == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
     return Counter(base)
 
 
@@ -256,6 +271,28 @@ class TestProcessExecutorStart:
             assert ex.broadcast("add", 1) == [11, 21]
             pids = ex.broadcast("pid")
             assert pids == ex.worker_pids()
+
+    def test_worker_killed_mid_build_rebuilds_from_the_same_payload(
+        self, tmp_path
+    ):
+        # The payload is larger than a pipe buffer, so it travels as a
+        # build message after the launch — and is sent again, whole, to
+        # the relaunched worker.
+        log = tmp_path / "worker-1-builds"
+        blob = bytes(range(256)) * 4096
+        with ProcessShardExecutor(2) as ex:
+            ex.start(
+                _record_then_die_once_factory,
+                [(None, blob, 10), (str(log), blob, 20)],
+            )
+            builds = [line.split() for line in log.read_text().splitlines()]
+            assert len(builds) == 2
+            (pid0, digest0, base0), (pid1, digest1, base1) = builds
+            assert pid0 != pid1  # a fresh process built the second time
+            assert digest0 == digest1 == hashlib.sha256(blob).hexdigest()
+            assert base0 == base1 == "20"
+            assert ex.broadcast("add", 1) == [11, 21]
+            assert ex.worker_pids()[1] == int(pid1)
 
     def test_build_deaths_exhaust_the_retry_budget(self):
         retry = RetryPolicy(max_attempts=2, base_delay=0.0)

@@ -206,6 +206,15 @@ class TestPrunedMatchesSparse:
             np.testing.assert_array_equal(
                 op(sparse, "row_sums", idx), op(sharded, "row_sums", idx)
             )
+            # The stored entries, not just their dense scatter: same
+            # rows and values, in the same (ascending) order.
+            sharded.prefetch_columns(np.arange(n))
+            for j in range(n):
+                for got, want in zip(
+                    sharded.column_entries(j, endpoint),
+                    sparse.column_entries(j, endpoint),
+                ):
+                    np.testing.assert_array_equal(got, want)
         sharded.close()
 
 

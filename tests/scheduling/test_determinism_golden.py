@@ -5,16 +5,21 @@ implementation (before the shared ``InterferenceContext`` refactor) on
 two small instances.  ``first_fit_schedule`` and ``sqrt_coloring``
 must keep reproducing them bit-for-bit, and so must their from-scratch
 oracles in ``tests/oracles.py`` — any divergence means a change altered
-scheduling decisions, not just their cost.
+scheduling decisions, not just their cost.  A second table pins the
+lossy backends (ε-pruned sparse and sharded storage) at n=512, risk
+counters included.
 """
 
+import hashlib
 import importlib
 
 import numpy as np
 import pytest
 
 import oracles
+from repro.api import Problem
 from repro.core.context import clear_context_cache
+from repro.core.instance import Instance
 from repro.instances.random_instances import random_uniform_instance
 from repro.power.oblivious import SquareRootPower
 from repro.scheduling.firstfit import first_fit_schedule
@@ -95,3 +100,90 @@ def test_identical_seeds_identical_schedules(path, name):
     second, _ = _sqrt_coloring(path, instance, rng=7)
     np.testing.assert_array_equal(first.colors, second.colors)
     np.testing.assert_array_equal(first.powers, second.powers)
+
+
+# ----------------------------------------------------------------------
+# Lossy backends: sparse (epsilon = 0.05) and sharded (W = 2, serial)
+# ----------------------------------------------------------------------
+
+#: Pinned before the kernels walked stored column entries instead of
+#: dense columns (the CSR-native first-fit admission and greedy peel).
+#: Per algorithm: sha256 prefix of the int64 colors, the color count,
+#: then the run's risk counters — first_fit ``flip_risk_events``;
+#: sqrt_coloring ``peel_risk_events`` and the number of peel fallbacks.
+#: Sharded runs must equal sparse ones at the same epsilon.
+GOLDEN_LOSSY = {
+    "directed": {
+        "first_fit": ["9834061545b1976f", 18, 494],
+        "sqrt_coloring": ["25c8c0dac80612ee", 26, 0, 0],
+        "local_search": ["9834061545b1976f", 18],
+    },
+    "bidirectional": {
+        "first_fit": ["3d6917d0131dc523", 25, 487],
+        "sqrt_coloring": ["24bc11968400b783", 33, 174, 0],
+        "local_search": ["31febe8458efa87d", 23],
+    },
+    "shared-node": {
+        "first_fit": ["2f638dbe725760d3", 30, 482],
+        "sqrt_coloring": ["d8cdaecf3a720cd7", 51, 371, 0],
+        "local_search": ["2f638dbe725760d3", 30],
+    },
+}
+
+LOSSY_BACKENDS = {
+    "sparse": dict(backend="sparse", sparse_epsilon=0.05),
+    "sharded": dict(
+        backend="sharded",
+        sparse_epsilon=0.05,
+        workers=2,
+        shard_executor="serial",
+    ),
+}
+
+
+def _lossy_instance(name):
+    n = 512
+    if name == "directed":
+        return random_uniform_instance(n, rng=5, direction="directed")
+    if name == "bidirectional":
+        return random_uniform_instance(n, rng=6)
+    # Every eighth request transmits from its predecessor's receiver:
+    # infinite mutual gains between the two.
+    base = random_uniform_instance(n, rng=7)
+    senders = list(base.senders)
+    for i in range(7, n, 8):
+        senders[i] = base.receivers[i - 1]
+    return Instance(
+        base.metric, senders, list(base.receivers), direction="bidirectional"
+    )
+
+
+def _digest(colors):
+    colors = np.asarray(colors, dtype=np.int64)
+    return hashlib.sha256(colors.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("backend", sorted(LOSSY_BACKENDS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOSSY))
+def test_lossy_backends_match_golden(name, backend):
+    clear_context_cache()
+    session = Problem(_lossy_instance(name), **LOSSY_BACKENDS[backend]).session()
+    ff = session.schedule("first_fit")
+    sc = session.schedule("sqrt_coloring", rng=11, use_lp=False)
+    ls = session.schedule("local_search", schedule=ff)
+    clear_context_cache()
+    got = {
+        "first_fit": [
+            _digest(ff.schedule.colors),
+            ff.schedule.num_colors,
+            ff.provenance.flip_risk_events,
+        ],
+        "sqrt_coloring": [
+            _digest(sc.schedule.colors),
+            sc.schedule.num_colors,
+            sc.provenance.peel_risk_events,
+            len(sc.provenance.peel_fallbacks),
+        ],
+        "local_search": [_digest(ls.schedule.colors), ls.schedule.num_colors],
+    }
+    assert got == GOLDEN_LOSSY[name], f"{name} on {backend} diverged"
