@@ -42,11 +42,11 @@ looped reference does (the PR-9 gate; ``--ls-batch-pairs 0`` disables
 that row).  ``--aux-sizes`` bounds the other (ungated, slower)
 workloads.  Two more ungated rows, ``first_fit_sparse`` and
 ``sqrt_sparse``, time the stored-column-entry kernels on the ε=0.05
-sparse backend at ``--sparse-n`` (default 8192, the sinrbench
-``solve_large`` size and geometry; gain build excluded; ``0`` skips
-them).  The artifact is labelled ``full`` when the run covers the
-default sizes (first-fit n >= 1024, aux n >= 256, B >= 32 stacked
-local-search pairs, sparse n >= 8192) and ``smoke`` otherwise.
+sparse backend at n=8192 (the sinrbench ``solve_large`` size and
+geometry; gain build excluded).  The artifact is labelled ``full``
+when the run covers the default sizes (first-fit n >= 1024, aux
+n >= 256, B >= 32 stacked local-search pairs) and ``smoke``
+otherwise.
 
 Reference results (one run, default sizes, 2-vCPU / 7 GB Linux VM;
 the committed ``benchmarks/artifacts/BENCH_sched_kernels.json``; the
@@ -101,7 +101,9 @@ sqrt_module = importlib.import_module("repro.scheduling.sqrt_coloring")
 
 GATED_WORKLOAD = "first_fit"
 
-#: Pruning tolerance of the ungated sparse rows (sinrbench's solve_large).
+#: Size and pruning tolerance of the ungated sparse rows (sinrbench's
+#: solve_large).
+SPARSE_N = 8192
 SPARSE_EPSILON = 0.05
 
 
@@ -225,7 +227,7 @@ def _sparse_rows(n, seed):
 
 def run(
     sizes, aux_sizes, target, batch_pairs=4, ls_batch_pairs=32, seed=7,
-    artifacts=None, sparse_n=8192,
+    artifacts=None,
 ):
     run_start = time.perf_counter()
     workloads = _workloads()
@@ -329,8 +331,7 @@ def run(
 
     # Sparse rows (ungated): the stored-entry kernels on an ε-pruned
     # backend at the sinrbench solve_large scale, build excluded.
-    if sparse_n > 0:
-        rows.extend(_sparse_rows(sparse_n, seed))
+    rows.extend(_sparse_rows(SPARSE_N, seed))
 
     print(f"{'workload':<18} {'n':>5} {'reference':>12} {'kernel':>11} {'speedup':>9}")
     for name, n, reference, kernel, speedup in rows:
@@ -359,15 +360,14 @@ def run(
             "reference = accumulator/subset-rebuild/per-round-rebuild-peel "
             "paths from tests/oracles.py; outputs asserted bit-identical"
         )
-        if sparse_n > 0:
-            table.add_note(
-                f"ungated: first_fit_sparse and sqrt_sparse run the kernels "
-                f"on the sparse backend (epsilon={SPARSE_EPSILON}, "
-                f"n={sparse_n}, gain build excluded); first_fit_sparse's "
-                "reference is the ClassAccumulator scan on the same "
-                "backend, sqrt_sparse has none (the per-round-rebuild "
-                "peel does not finish at this size)"
-            )
+        table.add_note(
+            f"ungated: first_fit_sparse and sqrt_sparse run the kernels "
+            f"on the sparse backend (epsilon={SPARSE_EPSILON}, "
+            f"n={SPARSE_N}, gain build excluded); first_fit_sparse's "
+            "reference is the ClassAccumulator scan on the same "
+            "backend, sqrt_sparse has none (the per-round-rebuild "
+            "peel does not finish at this size)"
+        )
         shards = []
         for name, n, reference, kernel, speedup in rows:
             table.add_row(
@@ -394,7 +394,6 @@ def run(
                 and aux_sizes
                 and aux_sizes[-1] >= 256
                 and ls_batch_pairs >= 32
-                and sparse_n >= 8192
                 else "smoke"
             ),
             table=table,
@@ -465,15 +464,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--sparse-n",
-        type=int,
-        default=8192,
-        help=(
-            "size of the ungated first_fit_sparse / sqrt_sparse rows "
-            "(0 disables them)"
-        ),
-    )
-    parser.add_argument(
         "--artifacts",
         metavar="DIR",
         default=None,
@@ -489,7 +479,6 @@ def main(argv=None) -> int:
         batch_pairs=args.batch_pairs,
         ls_batch_pairs=args.ls_batch_pairs,
         artifacts=args.artifacts,
-        sparse_n=args.sparse_n,
     )
 
 

@@ -799,8 +799,9 @@ class Session:
         context = self.context
         kernel.extend_to(context.n)
         self._limits = self._compute_limits(context)
+        kernel.bind_limits(self._limits)
         for index in indices:
-            color = kernel.first_fit_admit(int(index), self._limits)
+            color = kernel.first_fit_admit(int(index))
             if color < 0:
                 color = kernel.open_class()
             kernel.add(int(index), color)
@@ -821,11 +822,12 @@ class Session:
             repin_context(context)
             kernel = ScheduleKernel(context)
             self._limits = self._compute_limits(context)
+            kernel.bind_limits(self._limits)
             self._kernel = kernel
             for index in range(context.n):
                 if index in self._departed:
                     continue
-                color = kernel.first_fit_admit(index, self._limits)
+                color = kernel.first_fit_admit(index)
                 if color < 0:
                     color = kernel.open_class()
                 kernel.add(index, color)

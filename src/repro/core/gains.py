@@ -659,14 +659,22 @@ class GainBackend(abc.ABC):
 
     # -- primitives ----------------------------------------------------
 
-    @abc.abstractmethod
     def col_u(self, j: int) -> np.ndarray:
         """Column ``G_u[:, j]`` as a dense ``(n,)`` array: what request
-        *j* induces at every request's ``u`` endpoint."""
+        *j* induces at every request's ``u`` endpoint.  By default the
+        :meth:`column_entries` scattered into zeros; dense storage
+        overrides it with a view of its transpose."""
+        return self._scatter_column(j, "u")
 
-    @abc.abstractmethod
     def col_v(self, j: int) -> np.ndarray:
         """Column ``G_v[:, j]``."""
+        return self._scatter_column(j, "v")
+
+    def _scatter_column(self, j: int, side: str) -> np.ndarray:
+        rows, values = self.column_entries(j, side)
+        out = np.zeros(self.n)
+        out[rows] = values
+        return out
 
     @abc.abstractmethod
     def column_entries(
@@ -1961,23 +1969,6 @@ class SparseBackend(GainBackend):
             return self._grown_col_entries(base_t, pend, j)
         lo, hi = base_t.indptr[j], base_t.indptr[j + 1]
         return base_t.indices[lo:hi], base_t.data[lo:hi]
-
-    def _grown_col(self, base_t, pend, j: int) -> np.ndarray:
-        """Column ``j`` of base + pending, scattered dense."""
-        out = np.zeros(self._n)
-        rows, values = self._grown_col_entries(base_t, pend, j)
-        out[rows] = values
-        return out
-
-    def col_u(self, j: int) -> np.ndarray:
-        if self._pend_u:
-            return self._grown_col(self._csr_ut, self._pend_u, int(j))
-        return self._expand_row(self._csr_ut, int(j))
-
-    def col_v(self, j: int) -> np.ndarray:
-        if self._pend_v:
-            return self._grown_col(self._csr_vt, self._pend_v, int(j))
-        return self._expand_row(self._csr_vt, int(j))
 
     def row_u(self, i: int) -> np.ndarray:
         if self._pend_u:

@@ -253,7 +253,8 @@ class ScheduleKernel:
     and removal update the class row and the own-class state at those
     rows, and admission tests members at those rows while every other
     member's verdict comes from flags maintained against the limits
-    array in use — O(stored entries + C) per call instead of O(n).
+    bound by :meth:`bind_limits` — O(stored entries + C) per call
+    instead of O(n).
 
     Parameters
     ----------
@@ -313,15 +314,17 @@ class ScheduleKernel:
             self._own_fin_v = np.zeros(n)
             self._own_ninf_v = np.zeros(n, dtype=np.int64)
             self._own_npos_v = np.zeros(n, dtype=np.int64)
-        # Member-side admission state against the limits array of the
-        # last first_fit_admit call whose column missed some rows (see
-        # _bind_limits): per placed request, is its own-class
-        # interference already over its limit ("over"), or within its
-        # pruned-mass band of it ("near"), plus per-class member counts
-        # of both.  A candidate's column then only needs testing at its
-        # stored rows; every other member's verdict is the maintained
-        # flag.  Storage whose columns hold every row never binds.
+        # Member-side admission state against the bound limits array
+        # (see bind_limits / _build_flags): per placed request, is its
+        # own-class interference already over its limit ("over"), or
+        # within its pruned-mass band of it ("near"), plus per-class
+        # member counts of both.  A candidate's column then only needs
+        # testing at its stored rows; every other member's verdict is
+        # the maintained flag.  The flags are built on the first
+        # admission whose column misses some rows, so storage whose
+        # columns hold every row never builds them.
         self._limits: Optional[np.ndarray] = None
+        self._flagged = False
         self._over = np.zeros(0, dtype=bool)
         self._near = np.zeros(0, dtype=bool)
         self._over_count = np.zeros(cap, dtype=np.int64)
@@ -493,7 +496,10 @@ class ScheduleKernel:
         colors[:n_old] = self._colors
         self._colors = colors
         self._n = n_new
-        self._limits = None  # the member flags rebind at the next admission
+        # The bound limits cover the old requests only: admission needs
+        # a bind_limits call with the grown array.
+        self._limits = None
+        self._flagged = False
         tail = np.arange(n_old, n_new)
         backend = self._backend
         for fin, ninf, npos, cross_block in (
@@ -651,7 +657,7 @@ class ScheduleKernel:
             own_npos[request] = npos[color, request]
         self._colors[request] = color
         self._sizes[color] += 1
-        if self._limits is not None:
+        if self._flagged:
             self._refresh_flags(color, np.append(peers, request))
 
     def remove(self, request: int) -> int:
@@ -668,7 +674,7 @@ class ScheduleKernel:
             raise ValueError(f"request {request} is not placed")
         self._colors[request] = -1
         self._sizes[color] -= 1
-        if self._limits is not None:
+        if self._flagged:
             self._over_count[color] -= self._over[request]
             self._near_count[color] -= self._near[request]
             self._over[request] = False
@@ -686,7 +692,7 @@ class ScheduleKernel:
             own_fin[request] = 0.0
             own_ninf[request] = 0
             own_npos[request] = 0
-        if peers is not None and self._limits is not None:
+        if peers is not None and self._flagged:
             self._refresh_flags(color, peers)
         return color
 
@@ -757,12 +763,11 @@ class ScheduleKernel:
             return over, None
         return over, worst + self._pruned[rows] > limits
 
-    def _bind_limits(self, limits: np.ndarray) -> None:
-        """Recompute the member flags and per-class counts for a new
-        *limits* array — one O(n) pass, taken when the array object
-        changes; the flags are then maintained by :meth:`add` and
-        :meth:`remove` at the rows they touch."""
-        self._limits = limits
+    def _build_flags(self) -> None:
+        """Compute the member flags and per-class counts against the
+        bound limits — one O(n) pass; the flags are then maintained by
+        :meth:`add` and :meth:`remove` at the rows they touch."""
+        self._flagged = True
         over, near = self._flags_at(_ALL)
         placed = self._colors >= 0
         cap = self._fin_u.shape[0]
@@ -846,11 +851,28 @@ class ScheduleKernel:
             arr[count:].fill(0)
         for arr, saved in zip(self._own_arrays(), state["own"]):
             arr[:] = saved
-        self._limits = None  # the member flags rebind at the next admission
+        self._flagged = False  # rebuilt at the next admission
 
     # ------------------------------------------------------------------
     # Vectorized admission checks
     # ------------------------------------------------------------------
+
+    def bind_limits(self, limits: np.ndarray) -> None:
+        """Bind the per-request budget array :meth:`first_fit_admit`
+        tests against (``budget * (1 + rtol)``, one entry per request).
+
+        The kernel keeps a reference and maintains per-member verdicts
+        against it, so the array must not change while bound: to admit
+        under other budgets, bind the new array.  :meth:`extend_to`
+        unbinds (the array no longer covers every request).
+        """
+        limits = np.asarray(limits, dtype=float)
+        if limits.shape != (self._n,):
+            raise ValueError(
+                f"limits must have shape ({self._n},), got {limits.shape}"
+            )
+        self._limits = limits
+        self._flagged = False
 
     def class_interference(self, request: int) -> np.ndarray:
         """Worst-endpoint interference each class would induce at
@@ -874,22 +896,17 @@ class ScheduleKernel:
         )
         return np.maximum(res_u, res_v)
 
-    def first_fit_admit(self, request: int, limits: np.ndarray) -> int:
-        """First class *request* can join under interference budgets
-        *limits*, or ``-1``.
+    def first_fit_admit(self, request: int) -> int:
+        """First class *request* can join under the budgets bound by
+        :meth:`bind_limits`, or ``-1``.
 
-        *limits* is the per-request tolerance-scaled budget array
-        (``budget * (1 + rtol)``).  The candidate-budget check reads
-        the O(C) class rows at *request*; the member-budget check adds
-        the request's gain column at its stored rows only (O(stored
-        entries)) and takes every other member's verdict from flags
-        maintained against *limits* — a member already over its limit
-        vetoes its class, as a full scan would.  Decisions are
-        bit-identical to scanning the classes one
-        :class:`ClassAccumulator` at a time.  The flags are rebuilt
-        (O(n)) whenever *limits* is a different array object from the
-        one they were built for, so pass the same array, unmodified,
-        for a whole run.
+        The candidate-budget check reads the O(C) class rows at
+        *request*; the member-budget check adds the request's gain
+        column at its stored rows only (O(stored entries)) and takes
+        every other member's verdict from flags maintained against the
+        bound limits — a member already over its limit vetoes its
+        class, as a full scan would.  Decisions are bit-identical to
+        scanning the classes one :class:`ClassAccumulator` at a time.
 
         On a pruned (sparse) backend every interference value is a
         conservative under-estimate, so rejections here are always
@@ -903,6 +920,9 @@ class ScheduleKernel:
         backend's schedule.
         """
         request = int(request)
+        limits = self._limits
+        if limits is None:
+            raise ValueError("no limits bound: call bind_limits first")
         count = len(self._sizes)
         if count == 0:
             return -1
@@ -912,11 +932,11 @@ class ScheduleKernel:
             return -1
         rows, values = self._column(request)
         # Members off the column's rows keep their own-class
-        # interference: their verdicts are the maintained flags, bound
-        # to this limits array on the first column that needs them.
+        # interference: their verdicts are the maintained flags, built
+        # on the first column that needs them.
         off_rows = rows is not _ALL
-        if off_rows and limits is not self._limits:
-            self._bind_limits(limits)
+        if off_rows and not self._flagged:
+            self._build_flags()
         lim = limits[rows]
         row_colors = self._colors[rows]
         own = self._own_parts(rows)
@@ -1037,9 +1057,10 @@ def first_fit_colors(
         # remote data dependency of admission) into windows.
         return first_fit_colors_sharded(context, order, limits)
     kernel = ScheduleKernel(context)
+    kernel.bind_limits(limits)
     for req in order:
         req = int(req)
-        color = kernel.first_fit_admit(req, limits)
+        color = kernel.first_fit_admit(req)
         if color < 0:
             color = kernel.open_class()
         kernel.add(req, color)
@@ -1081,6 +1102,7 @@ def first_fit_colors_sharded(
     backend = context.backend
     prefetch = getattr(backend, "prefetch_columns", None)
     kernel = ScheduleKernel(context)
+    kernel.bind_limits(limits)
     order = np.asarray(order, dtype=int)
     for lo in range(0, order.size, window):
         chunk = order[lo : lo + window]
@@ -1088,7 +1110,7 @@ def first_fit_colors_sharded(
             prefetch(chunk)
         for req in chunk:
             req = int(req)
-            color = kernel.first_fit_admit(req, limits)
+            color = kernel.first_fit_admit(req)
             if color < 0:
                 color = kernel.open_class()
             kernel.add(req, color)

@@ -274,27 +274,6 @@ def _close_executor(executor: ShardExecutor) -> None:
         pass
 
 
-class _CachedColumn:
-    """One parent-side column cache entry: the stored ``(rows,
-    values)`` per endpoint, plus the dense ``(n,)`` column scattered
-    from them on first :meth:`ShardedBackend.col_u`/``col_v`` use."""
-
-    __slots__ = ("entries", "_dense")
-
-    def __init__(self, entries: List[Tuple[np.ndarray, np.ndarray]]):
-        self.entries = entries
-        self._dense: List[Optional[np.ndarray]] = [None, None]
-
-    def dense(self, side: int, n: int) -> np.ndarray:
-        if self._dense[side] is None:
-            rows, values = self.entries[side]
-            column = np.zeros(n)
-            column[rows] = values
-            column.setflags(write=False)
-            self._dense[side] = column
-        return self._dense[side]
-
-
 class ShardedBackend(GainBackend):
     """The :class:`~repro.core.gains.GainBackend` protocol over ``W``
     block-row shards hosted by a
@@ -335,7 +314,7 @@ class ShardedBackend(GainBackend):
         self._has_inf = any(bool(m["has_inf"]) for m in metas)
         self._nnz = sum(int(m["nnz"]) for m in metas)
         self._nbytes = sum(int(m["nbytes"]) for m in metas)
-        self._col_cache: "OrderedDict[int, _CachedColumn]" = OrderedDict()
+        self._col_cache: "OrderedDict[int, List[Tuple[np.ndarray, np.ndarray]]]" = OrderedDict()
         self._finalizer = weakref.finalize(self, _close_executor, executor)
 
     @classmethod
@@ -486,16 +465,18 @@ class ShardedBackend(GainBackend):
             ]
             if self._directed:
                 entries.append(entries[0])
-            self._cache_put(int(j), _CachedColumn(entries))
+            self._cache_put(int(j), entries)
 
-    def _cache_put(self, j: int, column: "_CachedColumn") -> None:
+    def _cache_put(
+        self, j: int, entries: List[Tuple[np.ndarray, np.ndarray]]
+    ) -> None:
         cache = self._col_cache
-        cache[j] = column
+        cache[j] = entries
         cache.move_to_end(j)
         while len(cache) > self.COLUMN_CACHE_LIMIT:
             cache.popitem(last=False)
 
-    def _cached_column(self, j: int) -> "_CachedColumn":
+    def _cached_column(self, j: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         j = int(j)
         entry = self._col_cache.get(j)
         if entry is None:
@@ -510,15 +491,7 @@ class ShardedBackend(GainBackend):
     def column_entries(
         self, j: int, side: str = "u"
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._cached_column(j).entries[0 if side == "u" else 1]
-
-    def col_u(self, j: int) -> np.ndarray:
-        return self._cached_column(j).dense(0, self._n)
-
-    def col_v(self, j: int) -> np.ndarray:
-        if self._directed:
-            return self.col_u(j)
-        return self._cached_column(j).dense(1, self._n)
+        return self._cached_column(j)[0 if side == "u" else 1]
 
     def _owner(self, i: int) -> int:
         return int(np.searchsorted(self._starts, i, side="right") - 1)

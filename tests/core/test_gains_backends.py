@@ -337,8 +337,9 @@ class TestPrunedBackend:
         assert kernel.flip_risk_events == 0
         budget = ctx.budgets()
         order = np.argsort(-instance.link_distances, kind="stable")
+        kernel.bind_limits(budget * (1.0 + 1e-9))
         for req in order:
-            color = kernel.first_fit_admit(int(req), budget * (1.0 + 1e-9))
+            color = kernel.first_fit_admit(int(req))
             if color < 0:
                 color = kernel.open_class()
             kernel.add(int(req), color)

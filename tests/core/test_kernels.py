@@ -311,9 +311,11 @@ class TestKernelStateProperties:
         # fed the same coloring.
         fresh = ScheduleKernel.from_colors(context, kernel.colors)
         limits = context.budgets() * (1.0 + 1e-9)
+        kernel.bind_limits(limits)
+        fresh.bind_limits(limits)
         for request in range(1, 8):
-            assert kernel.first_fit_admit(request, limits) == (
-                fresh.first_fit_admit(request, limits)
+            assert kernel.first_fit_admit(request) == (
+                fresh.first_fit_admit(request)
             )
         # The next open_class() hands out a genuinely clean class.
         color = kernel.open_class()
@@ -700,6 +702,7 @@ class TestStoredColumnEntries:
         colors = np.full(instance.n, -1)
         colors[:24] = np.arange(24) % 2  # two crowded classes
         kernel = ScheduleKernel.from_colors(context, colors)
+        kernel.bind_limits(limits)
         gains_u, gains_v = backend.dense_u(), backend.dense_v()
 
         def own(gains):
@@ -731,7 +734,7 @@ class TestStoredColumnEntries:
                     continue
                 expected = color
                 break
-            assert kernel.first_fit_admit(request, limits) == expected
+            assert kernel.first_fit_admit(request) == expected
         if epsilon is not None:
             # The pruned columns leave over-limit members off some
             # candidates' stored rows: the maintained flags decided.
