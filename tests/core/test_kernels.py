@@ -680,6 +680,21 @@ class TestStoredColumnEntries:
         )
         clear_context_cache()
 
+    def test_admission_reads_the_bound_limits(self):
+        instance = random_uniform_instance(12, rng=3)
+        context = get_context(instance, SquareRootPower()(instance))
+        kernel = ScheduleKernel(context)
+        kernel.add(0, kernel.open_class())
+        with pytest.raises(ValueError, match="bind_limits"):
+            kernel.first_fit_admit(1)
+        with pytest.raises(ValueError, match="shape"):
+            kernel.bind_limits(np.ones(3))
+        kernel.bind_limits(np.zeros(instance.n))
+        assert kernel.first_fit_admit(1) == -1
+        kernel.bind_limits(np.full(instance.n, np.inf))
+        assert kernel.first_fit_admit(1) == 0
+        clear_context_cache()
+
     @pytest.mark.parametrize("epsilon", [None, 0.3])
     def test_member_over_limit_vetoes_its_class(self, epsilon):
         """A coloring seeded with members already over their limits:
